@@ -29,7 +29,7 @@ from casembed.data import (
 from casembed.evaluate import evaluate, report_json_lines, report_tsv
 from casembed.model import ModelError, init_model, load_model_file, save_model
 from casembed.synthetic import emit_cascades, generate_world
-from casembed.training import TrainConfig, train
+from casembed.training import TrainConfig, _pack_table, train
 
 __all__ = ["main", "build_parser", "CliError"]
 
@@ -108,6 +108,12 @@ def cmd_split(args) -> int:
         raise CliError(f"--test-frac must be in (0, 1), got {args.test_frac}")
     dataset = _read_dataset(args.input)
     train_set, test_set = split_dataset(dataset, args.test_frac, args.seed)
+    if not train_set.num_cascades or not test_set.num_cascades:
+        raise CliError(
+            f"--test-frac {args.test_frac} splits {dataset.num_cascades} cascades into"
+            f" {train_set.num_cascades} train + {test_set.num_cascades} test;"
+            " both sides need at least one cascade"
+        )
     args.out_dir.mkdir(parents=True, exist_ok=True)
     train_path = args.out_dir / "train.cascades"
     test_path = args.out_dir / "test.cascades"
@@ -141,7 +147,7 @@ def cmd_train(args) -> int:
     )
     dataset = _read_dataset(args.train)
     model, history = train(dataset, config)
-    table_entries = len(build_table(dataset, mu=config.mu, mode=config.sampling))
+    table = build_table(dataset, mu=config.mu, mode=config.sampling)
     args.model_out.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(args.model_out, save_model(model))
     log_lines = "".join(
@@ -155,7 +161,9 @@ def cmd_train(args) -> int:
     else:
         sys.stdout.write(log_lines)
     stats = {
-        "table_entries": table_entries,
+        "table_entries": len(table),
+        "points": model.num_points,
+        "slots": len(_pack_table(model, table).slot_x),
         "epochs_run": len(history),
         "initial_loss": history[0].total_loss if history else 0.0,
         "final_loss": history[-1].total_loss if history else 0.0,
@@ -181,7 +189,7 @@ def cmd_train(args) -> int:
         stats=stats,
     )
     print(
-        f"trained {stats['epochs_run']} epochs over {table_entries} combinations;"
+        f"trained {stats['epochs_run']} epochs over {stats['table_entries']} combinations;"
         f" loss {stats['initial_loss']:.6g} -> {stats['final_loss']:.6g};"
         f" model -> {args.model_out}"
     )

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
+import numpy as np
+
 from casembed.data import Cascade, CascadeDataset
 
 __all__ = [
@@ -130,6 +132,18 @@ def extract_triples(
     return out
 
 
+def _position_pairs(length: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Earlier and later 0-based positions of every ordered pair among
+    `length` infected users, earlier position major, with the pairs'
+    margins."""
+    earlier, later = np.triu_indices(length, 1)
+    margins = np.array(
+        [critical_margin(i + 1, j + 1, mu) for i, j in zip(earlier.tolist(), later.tolist())],
+        dtype=np.float64,
+    )
+    return earlier, later, margins
+
+
 def build_table(
     dataset: CascadeDataset, mu: float = 2.0, mode: str = "dominant"
 ) -> CombinationTable:
@@ -138,30 +152,68 @@ def build_table(
     A merged entry's count is the number of contributing cascades and its
     avg_margin the arithmetic mean of the per-cascade margins. Merging
     happens before dominance filtering, so dominance compares merged counts.
+    Entries keep the order in which their keys first occur, and margins are
+    summed in cascade order.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    sums: dict[Key, float] = {}
-    counts: dict[Key, int] = {}
+    tokens = getattr(dataset, "tokens", None)
+    by_length: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    users: list[int] = []
+    starts, earlier_parts, later_parts, margin_parts = [], [], [], []
     for cascade in dataset:
-        for source, earlier, later, margin in extract_triples(cascade, mu):
-            key = (source, earlier, later)
-            if key in counts:
-                counts[key] += 1
-                sums[key] += margin
-            else:
-                counts[key] = 1
-                sums[key] = margin
-    entries = []
-    for key, count in counts.items():
-        if mode == "dominant":
-            opposite = counts.get((key[0], key[2], key[1]))
-            if opposite is not None and opposite >= count:
-                continue  # outnumbered, or tied: no dominant orientation
-        entries.append(
-            Combination(key[0], key[1], key[2], count=count, avg_margin=sums[key] / count)
+        length = cascade.num_infected
+        if length not in by_length:
+            by_length[length] = _position_pairs(length, mu)
+        earlier, later, margins = by_length[length]
+        starts.append(len(users))
+        users.extend(cascade.users)
+        earlier_parts.append(earlier)
+        later_parts.append(later)
+        margin_parts.append(margins)
+    margins = np.concatenate(margin_parts) if margin_parts else np.empty(0)
+    if not len(margins):
+        return CombinationTable([], mode=mode, tokens=tokens)
+    flat = np.asarray(users, dtype=np.int64)
+    starts = np.asarray(starts)
+    # Number each position's (source, user) pair densely, so that a triple's
+    # key (pair of source and earlier user, later user) fits in int64.
+    base = int(flat.max()) + 1
+    cascade_source = np.repeat(flat[starts], np.diff(starts, append=len(flat)))
+    _, pair = np.unique(cascade_source * base + flat, return_inverse=True)
+    # position in `flat` of each triple's source; its infected users follow
+    start = np.repeat(starts, [len(m) for m in margin_parts])
+    at_earlier = start + 1 + np.concatenate(earlier_parts)
+    at_later = start + 1 + np.concatenate(later_parts)
+    earlier, later = flat[at_earlier], flat[at_later]
+    key = pair[at_earlier] * base + later
+    # with return_index, np.unique sorts stably: `first` is each key's first occurrence
+    keys, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    # bincount adds in input order, which is the order a running sum per
+    # key over the cascades uses, so the means are reproducible bit for bit.
+    means = np.bincount(inverse, weights=margins) / counts
+    keep = np.ones(len(keys), dtype=bool)
+    if mode == "dominant":
+        opposite = pair[at_later[first]] * base + earlier[first]
+        at = np.minimum(np.searchsorted(keys, opposite), len(keys) - 1)
+        opposite_counts = np.where(keys[at] == opposite, counts[at], 0)
+        keep = opposite_counts < counts  # outnumbered, or tied: no dominant orientation
+    kept = np.flatnonzero(keep)
+    kept = kept[np.argsort(first[kept])]
+    rows = first[kept]
+    entries = [
+        Combination(source, earlier_user, later_user, count=count, avg_margin=mean)
+        for source, earlier_user, later_user, count, mean in zip(
+            flat[start[rows]].tolist(),
+            earlier[rows].tolist(),
+            later[rows].tolist(),
+            counts[kept].tolist(),
+            means[kept].tolist(),
         )
-    return CombinationTable(entries, mode=mode, tokens=getattr(dataset, "tokens", None))
+    ]
+    return CombinationTable(entries, mode=mode, tokens=tokens)
 
 
 def dump_table_tsv(table: CombinationTable, stream: IO[str]) -> None:

@@ -7,7 +7,22 @@ gradients that touched it. Loss and active count describe the state before
 the update, so the first epoch's numbers characterize the random init.
 Merged combinations enter once per epoch regardless of occurrence count.
 
-Gradient accumulation runs in a fixed order over the table, so results do
+A combination's gap depends on two squared distances, each between the
+source's influence point and one user's point in the source's
+susceptibility space. Such an (influence row, susceptibility row) pair is a
+slot; a table of N combinations touches S distinct slots, and S is far
+smaller than N. An epoch computes the S squared distances, gathers the N
+gaps from them, counts how often each slot serves as an active earlier or
+later distance, and scatters one weighted difference per slot. That costs
+O(N + S·D) instead of O(N·D).
+
+Divergence raises ValueError naming the epoch. Every epoch checks the
+distances it starts from, and train and run_epoch check the coordinates the
+last epoch left: each squared distance must be finite and small enough for
+float64 to resolve the smallest margin in a gap. Past that, a diverging run
+can read every hinge as satisfied and stop as if it had converged.
+
+Gradient accumulation runs in a fixed order over the slots, so results do
 not depend on any worker or thread count.
 """
 
@@ -75,7 +90,8 @@ class EpochStats:
 
 
 class _WorkMeter:
-    """Counts combination-coordinate operations, for complexity checks."""
+    """Counts epoch array work, for complexity checks: one unit per
+    combination plus one per slot coordinate."""
 
     def __init__(self):
         self.entry_dims = 0
@@ -121,12 +137,25 @@ def accumulate_gradients(model: EmbeddingModel, combo: Combination):
 
 @dataclass(frozen=True)
 class _PackedTable:
-    """Combination table resolved to coordinate rows of one model."""
+    """Combination table resolved to the slots of one model.
 
-    x_rows: np.ndarray
-    early_rows: np.ndarray
-    late_rows: np.ndarray
+    Slot k pairs influence row `slot_x[k]` with susceptibility row
+    `slot_y[k]`; combination n reads the distances of slots
+    `earlier_slot[n]` and `later_slot[n]`. `rows` lists the influence rows
+    of all slots, then their susceptibility rows; `scatter_index` holds the
+    flat coordinate index of every (row, dimension) entry of `rows`. At
+    squared distances of `distance_limit` or more, float64 rounding in a gap
+    reaches the smallest margin.
+    """
+
+    slot_x: np.ndarray
+    slot_y: np.ndarray
+    earlier_slot: np.ndarray
+    later_slot: np.ndarray
     margins: np.ndarray
+    rows: np.ndarray
+    scatter_index: np.ndarray
+    distance_limit: float
 
 
 def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
@@ -145,45 +174,90 @@ def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
         early_rows.append(row_i)
         late_rows.append(row_j)
         margins.append(combo.avg_margin)
+    x = np.asarray(x_rows, dtype=np.int64)
+    margins = np.asarray(margins, dtype=np.float64)
+    points = np.int64(model.num_points)
+    keys = np.concatenate([
+        x * points + np.asarray(early_rows, dtype=np.int64),
+        x * points + np.asarray(late_rows, dtype=np.int64),
+    ])
+    slots, inverse = np.unique(keys, return_inverse=True)
+    slot_x, slot_y = slots // points, slots % points
+    dim = model.dimension
+    rows = np.concatenate([slot_x, slot_y])
     return _PackedTable(
-        np.asarray(x_rows, dtype=np.int64),
-        np.asarray(early_rows, dtype=np.int64),
-        np.asarray(late_rows, dtype=np.int64),
-        np.asarray(margins, dtype=np.float64),
+        slot_x,
+        slot_y,
+        inverse[: len(x)],
+        inverse[len(x) :],
+        margins,
+        rows,
+        (rows[:, None] * dim + np.arange(dim)).ravel(),
+        float(margins.min(initial=np.inf) / np.finfo(np.float64).eps),
     )
+
+
+def _slot_distances(coords: np.ndarray, packed: _PackedTable):
+    """Per-slot difference x - y and its squared length."""
+    diff = coords.take(packed.slot_x, axis=0)
+    diff -= coords.take(packed.slot_y, axis=0)
+    return diff, np.einsum("ij,ij->i", diff, diff)
+
+
+def _check_divergence(d2: np.ndarray, packed: _PackedTable, epoch: int, when: str):
+    """Raise ValueError unless every squared distance is finite and small
+    enough for float64 to resolve the smallest margin in a gap.
+
+    Past that limit the hinge test compares rounding noise: a diverging run
+    can then read every combination as satisfied and stop as if converged.
+    Bounded distances also keep the loss finite.
+    """
+    worst = d2.max(initial=0.0)
+    if not worst < packed.distance_limit:
+        raise ValueError(
+            f"training diverged at epoch {epoch}: squared distances {when} the"
+            f" update reached {worst:.3g}, where float64 no longer resolves the"
+            f" smallest margin (limit {packed.distance_limit:.3g});"
+            " lower the learning rate"
+        )
 
 
 def _run_packed_epoch(
     model: EmbeddingModel, packed: _PackedTable, learning_rate: float, epoch: int
 ) -> EpochStats:
     coords = model.coords
-    x = coords[packed.x_rows]
-    diff_i = x - coords[packed.early_rows]
-    diff_j = x - coords[packed.late_rows]
-    gaps = np.einsum("ij,ij->i", diff_j, diff_j) - np.einsum("ij,ij->i", diff_i, diff_i)
-    active = gaps < packed.margins
-    total_loss = float(np.sum(packed.margins[active] - gaps[active]))
-    active_count = int(np.count_nonzero(active))
-    work_meter.entry_dims += packed.margins.size * model.dimension
+    diff, d2 = _slot_distances(coords, packed)
+    _check_divergence(d2, packed, epoch, "before")
+    gaps = d2[packed.later_slot] - d2[packed.earlier_slot]
+    active = np.flatnonzero(gaps < packed.margins)
+    total_loss = float((packed.margins[active] - gaps[active]).sum())
+    work_meter.entry_dims += gaps.size + diff.size
 
-    if active_count:
-        rows_x = packed.x_rows[active]
-        rows_i = packed.early_rows[active]
-        rows_j = packed.late_rows[active]
-        g_x = 2.0 * (diff_i[active] - diff_j[active])  # = 2 (y_j - y_i)
-        g_i = -2.0 * diff_i[active]
-        g_j = 2.0 * diff_j[active]
-        accum = np.zeros_like(coords)
-        touched = np.zeros(len(coords), dtype=np.int64)
-        np.add.at(accum, rows_x, g_x)
-        np.add.at(accum, rows_i, g_i)
-        np.add.at(accum, rows_j, g_j)
-        np.add.at(touched, rows_x, 1)
-        np.add.at(touched, rows_i, 1)
-        np.add.at(touched, rows_j, 1)
-        mask = touched > 0
-        coords[mask] -= learning_rate * accum[mask] / touched[mask, None]
-    return EpochStats(epoch, total_loss, active_count)
+    if len(active):
+        slots = len(d2)
+        n_e = np.bincount(packed.earlier_slot[active], minlength=slots)
+        n_l = np.bincount(packed.later_slot[active], minlength=slots)
+        # Slot (x, y) serves n_e active combinations as the earlier distance
+        # and n_l as the later one; their gradient terms sum to
+        # 2·(n_e − n_l)·(x − y) on row x and the negation on row y. Row x is
+        # touched once per combination, row y once per distance it serves.
+        grad = (2.0 * (n_e - n_l))[:, None] * diff
+        accum = np.bincount(
+            packed.scatter_index,
+            weights=np.concatenate([grad, -grad]).ravel(),
+            minlength=coords.size,
+        ).reshape(coords.shape)
+        touched = np.bincount(
+            packed.rows, weights=np.concatenate([n_e, n_e + n_l]), minlength=len(coords)
+        )
+        # untouched rows have a zero sum, so they move by exactly zero
+        coords -= learning_rate * accum / np.maximum(touched, 1.0)[:, None]
+    return EpochStats(epoch, total_loss, len(active))
+
+
+def _check_final(model: EmbeddingModel, packed: _PackedTable, epoch: int):
+    """The divergence check on the coordinates the last epoch left."""
+    _check_divergence(_slot_distances(model.coords, packed)[1], packed, epoch, "after")
 
 
 def run_epoch(
@@ -195,7 +269,10 @@ def run_epoch(
     """One batch update in place; the stats describe the pre-update state."""
     if learning_rate <= 0:
         raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-    return _run_packed_epoch(model, _pack_table(model, table), learning_rate, epoch)
+    packed = _pack_table(model, table)
+    stats = _run_packed_epoch(model, packed, learning_rate, epoch)
+    _check_final(model, packed, epoch)
+    return stats
 
 
 def train(
@@ -221,4 +298,6 @@ def train(
         history.append(stats)
         if stats.active_count == 0:
             break
+    if history:
+        _check_final(model, packed, history[-1].epoch)
     return model, history

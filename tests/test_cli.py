@@ -77,6 +77,14 @@ class TestSplit:
         assert run("split", "--input", corpus, "--out-dir", tmp_path / "s") == 0
         assert corpus.read_bytes() == before
 
+    @pytest.mark.parametrize("frac", [0.001, 0.999])
+    def test_empty_side_exit_2(self, corpus, tmp_path, capsys, frac):
+        out = tmp_path / "degenerate"
+        assert run("split", "--input", corpus, "--test-frac", frac,
+                   "--out-dir", out) == 2
+        assert "at least one cascade" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_model_log_manifest(self, corpus, tmp_path):
@@ -92,8 +100,11 @@ class TestTrain:
         epoch, loss, active = lines[0].split("\t")
         assert epoch == "0" and float(loss) > 0 and int(active) > 0
         manifest = json.loads((tmp_path / "m.iaem.manifest.json").read_text())
-        assert manifest["stats"]["epochs_run"] == 50
-        assert manifest["stats"]["table_entries"] > 0
+        stats = manifest["stats"]
+        assert stats["epochs_run"] == 50
+        assert stats["table_entries"] > 0
+        assert stats["points"] >= 1
+        assert 1 <= stats["slots"] <= 2 * stats["table_entries"]
 
     def test_epochs_zero_equals_initialization(self, corpus, tmp_path):
         model_path = tmp_path / "init.iaem"
@@ -125,6 +136,17 @@ class TestTrain:
                        "--model-out", model_path) == 0
             outputs.append(model_path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_divergence_exit_2_without_model(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert run("synth", "--sources", 3, "--users-per-source", 10,
+                   "--seed", 0, "--out-dir", out) == 0
+        model_path = tmp_path / "m.iaem"
+        assert run("train", "--train", out / "synthetic.cascades", "--epochs", 200,
+                   "--lr", 50, "--model-out", model_path) == 2
+        assert "diverged at epoch" in capsys.readouterr().err
+        assert not model_path.exists()
+        assert not Path(str(model_path) + ".manifest.json").exists()
 
     def test_missing_train_file_exit_2(self, tmp_path):
         assert run("train", "--train", tmp_path / "none.cascades", "--epochs", 1,

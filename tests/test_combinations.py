@@ -179,6 +179,31 @@ def test_table_matches_brute_force_oracle():
                 assert combo.avg_margin == pytest.approx(avg, abs=1e-12)
 
 
+def test_table_order_and_means_follow_the_cascades():
+    # entries appear in the order their keys first occur, dominant mode keeps
+    # exactly the strictly more frequent orientations, and each mean is a
+    # running sum over the cascades in file order, bit for bit
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        ds = _random_dataset(rng)
+        sums, counts = {}, {}
+        for cascade in ds:
+            for source, earlier, later, margin in extract_triples(cascade, 2.0):
+                key = (source, earlier, later)
+                sums[key] = sums.get(key, 0.0) + margin
+                counts[key] = counts.get(key, 0) + 1
+        dominant = [
+            key for key in counts
+            if counts[key] > counts.get((key[0], key[2], key[1]), 0)
+        ]
+        for mode, expected in (("full", list(counts)), ("dominant", dominant)):
+            table = build_table(ds, 2.0, mode=mode)
+            assert list(table.keys()) == expected
+            for combo in table:
+                assert combo.count == counts[combo.key]
+                assert combo.avg_margin == sums[combo.key] / counts[combo.key]
+
+
 def test_total_triples_match_complexity_factor():
     rng = np.random.default_rng(31)
     ds = _random_dataset(rng, max_users=8, max_cascades=15)

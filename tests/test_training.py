@@ -11,6 +11,7 @@ from casembed.synthetic import emit_cascades, generate_world
 from casembed.training import (
     EpochStats,
     TrainConfig,
+    _pack_table,
     accumulate_gradients,
     hinge_loss,
     predicted_gap,
@@ -221,9 +222,132 @@ class TestRunEpoch:
             run_epoch(model, tbl, 0.01)
             return work_meter.entry_dims
 
-        assert work(table, 4) == 2 * work(table, 2)
-        assert work(table, 2) == len(table) * 2
-        assert work(half, 2) == len(half) * 2
+        def slots(tbl):
+            pairs = {(c.source, c.earlier) for c in tbl} | {(c.source, c.later) for c in tbl}
+            return len(pairs)
+
+        # one unit per combination plus one per slot coordinate: N + S*D
+        assert slots(table) < len(table)
+        assert work(table, 2) == len(table) + slots(table) * 2
+        assert work(table, 4) == len(table) + slots(table) * 4
+        assert work(half, 2) == len(half) + slots(half) * 2
+
+    @pytest.mark.parametrize("variant", ["independent", "shared_susceptibility", "single_space"])
+    def test_slots_are_the_distinct_source_user_pairs(self, variant):
+        world = generate_world(3, 8, 2, seed=61)
+        table = build_table(emit_cascades(world, 20, 5, seed=62), mode="full")
+        cfg = TrainConfig(epochs=1, dimension=2, variant=variant)
+        model = init_model(table, cfg, np.random.default_rng(0))
+        pairs = {(c.source, c.earlier) for c in table} | {(c.source, c.later) for c in table}
+        assert len(_pack_table(model, table).slot_x) == len(pairs)
+
+
+def _random_table(rng, users, size):
+    """Distinct random triples over a few users, so sources recur as the
+    earlier or later user of other sources' combinations."""
+    entries = {}
+    while len(entries) < size:
+        source, earlier, later = (int(u) for u in rng.choice(users, size=3, replace=False))
+        margin = float(rng.uniform(0.001, 0.02))
+        entries.setdefault((source, earlier, later), Combination(source, earlier, later, 1, margin))
+    return CombinationTable(entries.values(), mode="full")
+
+
+def _reference_epoch(model, table, learning_rate):
+    """Scalar reference epoch: accumulate_gradients per combination, then
+    move every touched row by the mean of the gradients that touched it."""
+    accum = np.zeros_like(model.coords)
+    touched = np.zeros(len(model.coords))
+    loss, active = 0.0, 0
+    for combo in table:
+        loss += hinge_loss(combo.avg_margin, predicted_gap(model, *combo.key))
+        grads = accumulate_gradients(model, combo)
+        if grads is None:
+            continue
+        active += 1
+        space = model.space_of(combo.source)
+        rows = (model._influence[combo.source], space[combo.earlier], space[combo.later])
+        for row, grad in zip(rows, grads):
+            accum[row] += grad
+            touched[row] += 1
+    mask = touched > 0
+    model.coords[mask] -= learning_rate * accum[mask] / touched[mask, None]
+    return loss, active
+
+
+class TestReferenceEquivalence:
+    """The slot-space epoch against the per-combination scalar reference."""
+
+    RTOL, ATOL = 1e-12, 1e-15
+
+    @pytest.mark.parametrize("variant", ["independent", "shared_susceptibility", "single_space"])
+    def test_epochs_match_reference(self, variant):
+        rng = np.random.default_rng(97)
+        saw_partial = False
+        for trial in range(8):
+            table = _random_table(rng, users=7, size=30)
+            cfg = TrainConfig(epochs=1, dimension=3, variant=variant, seed=trial)
+            model = init_model(table, cfg, np.random.default_rng(trial))
+            reference = init_model(table, cfg, np.random.default_rng(trial))
+            for epoch in range(6):
+                stats = run_epoch(model, table, 0.2, epoch)
+                loss, active = _reference_epoch(reference, table, 0.2)
+                assert stats.active_count == active
+                assert stats.total_loss == pytest.approx(loss, rel=self.RTOL, abs=self.ATOL)
+                np.testing.assert_allclose(
+                    model.coords, reference.coords, rtol=self.RTOL, atol=self.ATOL
+                )
+                saw_partial |= 0 < active < len(table)
+        assert saw_partial  # the runs exercise both active and satisfied combinations
+
+    def test_single_space_aliases_influence_and_susceptibility_rows(self):
+        # user 1 is source 0's earlier user and the source of another
+        # combination, so one row is an influence and a susceptibility row
+        table = CombinationTable(
+            [
+                Combination(0, 1, 2, 1, 0.5),
+                Combination(1, 2, 3, 1, 0.5),
+                Combination(2, 0, 1, 1, 0.5),
+                Combination(0, 3, 1, 1, 0.5),
+            ],
+            mode="full",
+        )
+        cfg = TrainConfig(epochs=1, dimension=2, variant="single_space", seed=4)
+        model = init_model(table, cfg, np.random.default_rng(4))
+        reference = init_model(table, cfg, np.random.default_rng(4))
+        packed = _pack_table(model, table)
+        assert set(packed.slot_x.tolist()) & set(packed.slot_y.tolist())
+        for epoch in range(5):
+            stats = run_epoch(model, table, 0.3, epoch)
+            loss, active = _reference_epoch(reference, table, 0.3)
+            assert stats.active_count == active > 0
+            assert stats.total_loss == pytest.approx(loss, rel=self.RTOL, abs=self.ATOL)
+            np.testing.assert_allclose(
+                model.coords, reference.coords, rtol=self.RTOL, atol=self.ATOL
+            )
+
+
+class TestDivergence:
+    def test_large_learning_rate_raises_naming_the_epoch(self):
+        # the CLI's `synth --sources 3 --users-per-source 10 --seed 0` corpus;
+        # at lr 50 the loss explodes until every hinge reads as satisfied
+        world = generate_world(3, 10, 4, seed=0)
+        dataset = emit_cascades(world, 100, 8, seed=1)
+        with pytest.raises(ValueError, match=r"diverged at epoch \d+"):
+            train(dataset, TrainConfig(epochs=200, learning_rate=50.0))
+
+    def test_non_finite_coordinates_raise(self):
+        model = _model([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        model.coords[2, 0] = np.nan
+        table = CombinationTable([Combination(0, 1, 2, 1, 1.0)], mode="full")
+        with pytest.raises(ValueError, match="diverged at epoch 3"):
+            run_epoch(model, table, 0.1, epoch=3)
+
+    def test_blow_up_in_the_last_update_raises(self):
+        model = _model([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        table = CombinationTable([Combination(0, 1, 2, 1, 1.0)], mode="full")
+        with pytest.raises(ValueError, match="diverged at epoch 7: .* after the update"):
+            run_epoch(model, table, 1e300, epoch=7)
 
 
 class TestTrain:
