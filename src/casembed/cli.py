@@ -178,7 +178,6 @@ def cmd_train(args) -> int:
             "epochs": config.epochs,
             "lr": config.learning_rate,
             "mu": config.mu,
-            "kernel_time": config.kernel_time,
             "sampling": config.sampling,
             "variant": config.variant,
         },
@@ -202,7 +201,7 @@ def cmd_eval(args) -> int:
         raise CliError(f"cannot read model file {args.model}")
     model = load_model_file(args.model)
     test_set = _read_dataset(args.test)
-    report = evaluate(model, test_set, threads=args.threads)
+    report = evaluate(model, test_set)
     text = report_tsv(report) if args.tsv else report_json_lines(report)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -299,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--log", type=Path, default=None,
                     help="epoch TSV log file (default: print to stdout)")
     tr.add_argument("--threads", type=int, default=os.cpu_count(),
-                    help="worker cap; accumulation order is fixed, so results "
-                    "are identical for any value")
+                    help="ignored, kept for compatibility: training runs in one "
+                    "thread in a fixed order")
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="rank and score a test cascade file")
@@ -312,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", type=Path, default=None,
                     help="report file (default: print report to stdout)")
     ev.add_argument("--threads", type=int, default=os.cpu_count(),
-                    help="evaluation worker cap; results are identical for any value")
+                    help="ignored, kept for compatibility: scoring runs serially")
     ev.set_defaults(func=cmd_eval)
 
     sy = sub.add_parser("synth", help="generate a planted world and its cascades")

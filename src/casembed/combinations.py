@@ -10,12 +10,16 @@ where t_* are 1-based infection orders; merging the same combination across
 cascades averages its margins. In dominant mode, when both orientations of a
 pair occur under one source only the strictly more frequent one is kept, and
 a tie drops both (keeping both would impose contradictory constraints).
+
+A CombinationTable keeps its entries as parallel numpy columns, which
+`build_table` fills directly; `Combination` views are made only on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -26,6 +30,7 @@ __all__ = [
     "MODES",
     "Combination",
     "CombinationTable",
+    "ENTRY",
     "critical_margin",
     "extract_triples",
     "build_table",
@@ -35,6 +40,9 @@ __all__ = [
 MODES = ("full", "dominant")
 
 Key = tuple[int, int, int]
+ENTRY = np.dtype(
+    [("source", "i8"), ("earlier", "i8"), ("later", "i8"), ("count", "i8"), ("avg_margin", "f8")]
+)
 
 
 def critical_margin(t_earlier: int, t_later: int, mu: float = 2.0) -> float:
@@ -68,7 +76,7 @@ class Combination:
             )
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
-        if self.avg_margin <= 0:
+        if not self.avg_margin > 0:
             raise ValueError(f"avg_margin must be positive, got {self.avg_margin}")
 
     @property
@@ -77,40 +85,61 @@ class Combination:
 
 
 class CombinationTable:
-    """Insertion-ordered map of (source, earlier, later) -> Combination.
+    """Combinations as parallel read-only columns, in insertion order.
 
+    `entries` are `Combination`s or one array of dtype `ENTRY`; each field
+    becomes a column (`source`, `earlier`, ...). Iteration and `get` hand out
+    `Combination` views; lookups use a key index built on first use.
     `tokens` is carried over from the originating dataset so models built
     from the table can resolve user tokens later.
     """
 
     def __init__(
         self,
-        entries: Iterable[Combination],
+        entries: Iterable[Combination] | np.ndarray,
         mode: str,
         tokens: Iterable[str] | None = None,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        self._entries: dict[Key, Combination] = {c.key: c for c in entries}
+        if not isinstance(entries, np.ndarray):
+            entries = [(c.source, c.earlier, c.later, c.count, c.avg_margin) for c in entries]
+        rows = np.asarray(entries, dtype=ENTRY)
+        columns = [rows[name].copy() for name in ENTRY.names]
+        for column in columns:
+            column.flags.writeable = False
+        self.source, self.earlier, self.later, self.count, self.avg_margin = columns
+        self._columns = columns
         self.mode = mode
-        self.tokens: tuple[str, ...] | None = (
-            tuple(tokens) if tokens is not None else None
-        )
+        self.tokens: tuple[str, ...] | None = None if tokens is None else tuple(tokens)
+        bad = (self.earlier == self.later) | (self.source == self.earlier)
+        bad |= (self.source == self.later) | (self.count < 1) | ~(self.avg_margin > 0)
+        if bad.any():
+            Combination(*rows[np.argmax(bad)].item())  # raises, naming the broken invariant
+        order = np.lexsort(columns[2::-1])  # by source, then earlier, then later
+        repeat = (np.diff(np.stack(columns[:3])[:, order]) == 0).all(axis=0)
+        if repeat.any():
+            raise ValueError(f"combination {rows[order[1:][repeat][0]].item()[:3]} occurs twice")
+
+    @cached_property
+    def _rows(self) -> dict[Key, int]:
+        return {key: n for n, key in enumerate(zip(*(c.tolist() for c in self._columns[:3])))}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.source)
 
     def __iter__(self) -> Iterator[Combination]:
-        return iter(self._entries.values())
+        return map(Combination, *(c.tolist() for c in self._columns))
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._entries
+        return key in self._rows
 
     def get(self, source: int, earlier: int, later: int) -> Combination | None:
-        return self._entries.get((source, earlier, later))
+        n = self._rows.get((source, earlier, later))
+        return None if n is None else Combination(*(c[n].item() for c in self._columns))
 
     def keys(self):
-        return self._entries.keys()
+        return self._rows.keys()
 
 
 def extract_triples(
@@ -132,18 +161,6 @@ def extract_triples(
     return out
 
 
-def _position_pairs(length: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Earlier and later 0-based positions of every ordered pair among
-    `length` infected users, earlier position major, with the pairs'
-    margins."""
-    earlier, later = np.triu_indices(length, 1)
-    margins = np.array(
-        [critical_margin(i + 1, j + 1, mu) for i, j in zip(earlier.tolist(), later.tolist())],
-        dtype=np.float64,
-    )
-    return earlier, later, margins
-
-
 def build_table(
     dataset: CascadeDataset, mu: float = 2.0, mode: str = "dominant"
 ) -> CombinationTable:
@@ -155,8 +172,6 @@ def build_table(
     Entries keep the order in which their keys first occur, and margins are
     summed in cascade order.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tokens = getattr(dataset, "tokens", None)
     by_length: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     users: list[int] = []
@@ -164,7 +179,11 @@ def build_table(
     for cascade in dataset:
         length = cascade.num_infected
         if length not in by_length:
-            by_length[length] = _position_pairs(length, mu)
+            # earlier and later 0-based positions of every ordered pair, with margins
+            earlier, later = np.triu_indices(length, 1)
+            pairs = zip(earlier.tolist(), later.tolist())
+            margins = [critical_margin(i + 1, j + 1, mu) for i, j in pairs]
+            by_length[length] = earlier, later, np.array(margins, dtype=np.float64)
         earlier, later, margins = by_length[length]
         starts.append(len(users))
         users.extend(cascade.users)
@@ -203,17 +222,8 @@ def build_table(
     kept = np.flatnonzero(keep)
     kept = kept[np.argsort(first[kept])]
     rows = first[kept]
-    entries = [
-        Combination(source, earlier_user, later_user, count=count, avg_margin=mean)
-        for source, earlier_user, later_user, count, mean in zip(
-            flat[start[rows]].tolist(),
-            earlier[rows].tolist(),
-            later[rows].tolist(),
-            counts[kept].tolist(),
-            means[kept].tolist(),
-        )
-    ]
-    return CombinationTable(entries, mode=mode, tokens=tokens)
+    columns = [flat[start[rows]], earlier[rows], later[rows], counts[kept], means[kept]]
+    return CombinationTable(np.rec.fromarrays(columns, dtype=ENTRY), mode=mode, tokens=tokens)
 
 
 def dump_table_tsv(table: CombinationTable, stream: IO[str]) -> None:

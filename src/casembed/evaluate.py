@@ -9,7 +9,6 @@ zero, so sparse candidate coverage is penalized rather than skipped.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -121,8 +120,8 @@ def evaluate(
     Cascades whose source is unknown to the model score 0 and are flagged
     rather than skipped. Test users are matched to the model through their
     string tokens when the model carries a token table; otherwise ids are
-    assumed shared. Per-cascade scoring is independent and may run on a
-    thread pool; results are identical for any thread count.
+    assumed shared. `threads` is accepted for compatibility and ignored:
+    scoring runs serially, since a thread pool only adds GIL hand-offs.
     """
     if test.num_cascades == 0:
         raise ValueError("cannot evaluate an empty test set")
@@ -151,11 +150,7 @@ def evaluate(
         unseen = truth_total - len(truth.intersection(ranked))
         return CascadeScore(cascade.cascade_id, ap, len(ranked), unseen)
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(score, test.cascades))
-    else:
-        scores = [score(c) for c in test.cascades]
+    scores = [score(c) for c in test.cascades]
     mean_ap = sum(s.ap for s in scores) / len(scores)
     return EvalReport(tuple(scores), mean_ap)
 

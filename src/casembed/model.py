@@ -22,6 +22,10 @@ Model file layout (integers and floats little-endian):
                       u32 point count, then points as above
         shared        u32 point count, then points
         single_space  nothing (rows live in the influence block)
+
+A user id occurs at most once per point block (and a source id once among
+the per-source blocks); when the token table is non-empty every id indexes
+into it.
 """
 
 from __future__ import annotations
@@ -237,42 +241,31 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
     if variant not in VARIANTS:
         raise ModelError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
-    next_row = 0
-
-    def alloc(mapping: dict[int, int], key: int) -> None:
-        nonlocal next_row
-        if key not in mapping:
-            mapping[key] = next_row
-            next_row += 1
-
+    # Combinations read their source's influence point, then the earlier and
+    # later users' susceptibility points; rows follow first appearance in that
+    # sequence. Space 0 holds influence points; in independent models source
+    # k (in id order) owns space k + 1. Keys fit int64 for u32 (savable) ids.
+    sources, source_at = np.unique(table.source, return_inverse=True)
+    space = np.zeros((len(table), 3), dtype=np.int64)
+    if variant != "single_space":
+        space[:, 1:] = 1 + source_at[:, None] if variant == "independent" else 1
+    space, users = space.ravel(), np.stack([table.source, table.earlier, table.later], 1).ravel()
+    at = np.sort(np.unique(space * (int(users.max(initial=0)) + 1) + users, return_index=True)[1])
     influence: dict[int, int] = {}
-    spaces: dict[int, dict[int, int]] = {}
-    shared: dict[int, int] = {}
-    for combo in table:
-        if variant == "independent":
-            alloc(influence, combo.source)
-            space = spaces.setdefault(combo.source, {})
-            alloc(space, combo.earlier)
-            alloc(space, combo.later)
-        elif variant == "shared_susceptibility":
-            alloc(influence, combo.source)
-            alloc(shared, combo.earlier)
-            alloc(shared, combo.later)
+    spaces: dict[int, dict[int, int]] | None = {} if variant == "independent" else None
+    shared: dict[int, int] | None = {} if variant == "shared_susceptibility" else None
+    for row, (s, user) in enumerate(zip(space[at].tolist(), users[at].tolist())):
+        if s == 0:
+            influence[user] = row
+        elif spaces is not None:
+            spaces.setdefault(int(sources[s - 1]), {})[user] = row
         else:
-            alloc(influence, combo.source)
-            alloc(influence, combo.earlier)
-            alloc(influence, combo.later)
+            shared[user] = row
 
     half = 0.5 / dim
-    coords = rng.uniform(-half, half, size=(next_row, dim))
-    tokens = tuple(table.tokens or ())
-    if variant == "independent":
-        return EmbeddingModel(dim, variant, coords, influence, spaces=spaces, tokens=tokens)
-    if variant == "shared_susceptibility":
-        return EmbeddingModel(
-            dim, variant, coords, influence, shared_space=shared, tokens=tokens
-        )
-    return EmbeddingModel(dim, variant, coords, influence, tokens=tokens)
+    coords = rng.uniform(-half, half, size=(len(at), dim))
+    return EmbeddingModel(dim, variant, coords, influence, spaces=spaces, shared_space=shared,
+                          tokens=tuple(table.tokens or ()))
 
 
 # -- serialization ---------------------------------------------------------
@@ -327,11 +320,25 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def _read_points(reader: _Reader, dim: int, coords: list[np.ndarray]) -> dict[int, int]:
+def _read_id(reader: _Reader, seen: Mapping[int, object], id_limit: int | None) -> int:
+    """Read one u32 user id, rejecting a repeat within its block and, when
+    the model has a token table, an id past its end."""
+    offset = reader.offset
+    user = reader.u32()
+    if user in seen:
+        raise ModelFormatError(f"id {user} repeats within its block", offset)
+    if id_limit is not None and user >= id_limit:
+        raise ModelFormatError(f"id {user} is past the token table of {id_limit}", offset)
+    return user
+
+
+def _read_points(
+    reader: _Reader, dim: int, coords: list[np.ndarray], id_limit: int | None
+) -> dict[int, int]:
     count = reader.u32()
     mapping: dict[int, int] = {}
     for _ in range(count):
-        user = reader.u32()
+        user = _read_id(reader, mapping, id_limit)
         values = np.frombuffer(reader.take(8 * dim), dtype="<f8").astype(np.float64)
         mapping[user] = len(coords)
         coords.append(values)
@@ -361,16 +368,17 @@ def load_model(data: bytes) -> EmbeddingModel:
         except UnicodeDecodeError:
             raise ModelFormatError("token is not valid UTF-8", reader.offset - length)
     coords: list[np.ndarray] = []
-    influence = _read_points(reader, dim, coords)
+    id_limit = len(tokens) if tokens else None
+    influence = _read_points(reader, dim, coords, id_limit)
     spaces: dict[int, dict[int, int]] | None = None
     shared: dict[int, int] | None = None
     if variant == "independent":
         spaces = {}
         for _ in range(reader.u32()):
-            source = reader.u32()
-            spaces[source] = _read_points(reader, dim, coords)
+            source = _read_id(reader, spaces, id_limit)
+            spaces[source] = _read_points(reader, dim, coords, id_limit)
     elif variant == "shared_susceptibility":
-        shared = _read_points(reader, dim, coords)
+        shared = _read_points(reader, dim, coords, id_limit)
     if reader.offset != len(reader.data):
         raise ModelFormatError("trailing bytes after model", reader.offset)
     packed = np.array(coords) if coords else np.zeros((0, dim))

@@ -14,7 +14,9 @@ slot; a table of N combinations touches S distinct slots, and S is far
 smaller than N. An epoch computes the S squared distances, gathers the N
 gaps from them, counts how often each slot serves as an active earlier or
 later distance, and scatters one weighted difference per slot. That costs
-O(N + S·D) instead of O(N·D).
+O(N + S·D) instead of O(N·D). The slot index is built once per `train` from
+the table's columns with array work; model rows are looked up once per
+distinct (source, user) pair, never once per combination.
 
 Divergence raises ValueError naming the epoch. Every epoch checks the
 distances it starts from, and train and run_epoch check the coordinates the
@@ -22,8 +24,8 @@ last epoch left: each squared distance must be finite and small enough for
 float64 to resolve the smallest margin in a gap. Past that, a diverging run
 can read every hinge as satisfied and stop as if it had converged.
 
-Gradient accumulation runs in a fixed order over the slots, so results do
-not depend on any worker or thread count.
+Gradient accumulation runs in a fixed order over the slots, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ class TrainConfig:
     dimension: int = 75
     learning_rate: float = 0.01
     mu: float = 2.0
-    kernel_time: float = 1.0
     sampling: str = "dominant"
     variant: str = "independent"
     seed: int = 0
@@ -74,8 +75,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.mu <= 1:
             raise ValueError(f"mu must exceed 1, got {self.mu}")
-        if self.kernel_time <= 0:
-            raise ValueError(f"kernel_time must be positive, got {self.kernel_time}")
         if self.sampling not in MODES:
             raise ValueError(f"sampling must be one of {MODES}, got {self.sampling!r}")
         if self.variant not in VARIANTS:
@@ -139,13 +138,16 @@ def accumulate_gradients(model: EmbeddingModel, combo: Combination):
 class _PackedTable:
     """Combination table resolved to the slots of one model.
 
-    Slot k pairs influence row `slot_x[k]` with susceptibility row
-    `slot_y[k]`; combination n reads the distances of slots
-    `earlier_slot[n]` and `later_slot[n]`. `rows` lists the influence rows
-    of all slots, then their susceptibility rows; `scatter_index` holds the
-    flat coordinate index of every (row, dimension) entry of `rows`. At
-    squared distances of `distance_limit` or more, float64 rounding in a gap
-    reaches the smallest margin.
+    Built from the table's columns, in the table's row order. Slot k pairs
+    influence row `slot_x[k]` with susceptibility row `slot_y[k]`;
+    combination n reads the distances of slots `earlier_slot[n]` and
+    `later_slot[n]`; `margins` is the table's `avg_margin` column. Slots
+    are sorted by their key `slot_x * P + slot_y` for P model points, which
+    fixes the order in which gradients accumulate. `rows` lists the
+    influence rows of all slots, then their susceptibility rows;
+    `scatter_index` holds the flat coordinate index of every (row,
+    dimension) entry of `rows`. At squared distances of `distance_limit` or
+    more, float64 rounding in a gap reaches the smallest margin.
     """
 
     slot_x: np.ndarray
@@ -159,28 +161,27 @@ class _PackedTable:
 
 
 def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
-    x_rows, early_rows, late_rows, margins = [], [], [], []
-    influence = model._influence
-    for combo in table:
-        row_x = influence.get(combo.source)
-        space = model.space_of(combo.source)
-        row_i = space.get(combo.earlier) if space is not None else None
-        row_j = space.get(combo.later) if space is not None else None
-        if row_x is None or row_i is None or row_j is None:
-            raise ModelError(
-                f"combination {combo.key} has unallocated coordinates"
-            )
-        x_rows.append(row_x)
-        early_rows.append(row_i)
-        late_rows.append(row_j)
-        margins.append(combo.avg_margin)
-    x = np.asarray(x_rows, dtype=np.int64)
-    margins = np.asarray(margins, dtype=np.float64)
+    # Rows are resolved once per distinct (source, user) pair; combinations
+    # read their earlier users' pairs, then their later users'.
+    n = len(table)
+    sources, source_at = np.unique(table.source, return_inverse=True)
+    users = np.concatenate([table.earlier, table.later])
+    base = int(users.max(initial=0)) + 1
+    pairs, pair_at = np.unique(np.tile(source_at, 2) * base + users, return_inverse=True)
+    sources, influence = sources.tolist(), model._influence
+    resolved = [
+        (influence.get(sources[s], -1), (model.space_of(sources[s]) or {}).get(u, -1))
+        for s, u in (divmod(pair, base) for pair in pairs.tolist())
+    ]
+    x, y = np.array(resolved, dtype=np.int64).reshape(-1, 2)[pair_at].T
+    missing = ((x < 0) | (y < 0)).reshape(2, n).any(axis=0)
+    if missing.any():
+        i = missing.argmax()
+        key = (table.source[i].item(), table.earlier[i].item(), table.later[i].item())
+        raise ModelError(f"combination {key} has unallocated coordinates")
+    margins = table.avg_margin
     points = np.int64(model.num_points)
-    keys = np.concatenate([
-        x * points + np.asarray(early_rows, dtype=np.int64),
-        x * points + np.asarray(late_rows, dtype=np.int64),
-    ])
+    keys = x * points + y
     slots, inverse = np.unique(keys, return_inverse=True)
     slot_x, slot_y = slots // points, slots % points
     dim = model.dimension
@@ -188,8 +189,8 @@ def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
     return _PackedTable(
         slot_x,
         slot_y,
-        inverse[: len(x)],
-        inverse[len(x) :],
+        inverse[:n],
+        inverse[n:],
         margins,
         rows,
         (rows[:, None] * dim + np.arange(dim)).ravel(),

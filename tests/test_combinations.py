@@ -3,8 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casembed.combinations import (
+    ENTRY,
+    MODES,
+    Combination,
+    CombinationTable,
     build_table,
     critical_margin,
     dump_table_tsv,
@@ -226,3 +232,74 @@ def test_tsv_dump_format():
         f"\t2\t{expected_margin:.6f}"
     )
     assert target in lines
+
+
+def _tsv(table):
+    buffer = io.StringIO()
+    dump_table_tsv(table, buffer)
+    return buffer.getvalue()
+
+
+# cascades over at most 8 users: a source and up to five infected users each
+_cascades = st.lists(
+    st.lists(st.integers(0, 7), min_size=2, max_size=6, unique=True), min_size=1, max_size=12
+)
+
+
+class TestColumnarTable:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=_cascades, mode=st.sampled_from(MODES), mu=st.sampled_from([1.5, 2.0, 10.0]))
+    def test_rebuilt_from_views_answers_identically(self, rows, mode, mu):
+        table = build_table(_dataset(*rows), mu, mode=mode)
+        again = CombinationTable(list(table), table.mode, table.tokens)
+        assert list(again) == list(table)
+        assert list(again.keys()) == list(table.keys())
+        assert len(again) == len(table)
+        for key in table.keys():
+            assert key in again
+            assert again.get(*key) == table.get(*key)
+            assert all(type(v) is int for v in key)
+        for combo in again:
+            assert type(combo.count) is int and type(combo.avg_margin) is float
+        absent = (99, 0, 1)
+        assert absent not in again and again.get(*absent) is None
+        assert _tsv(again) == _tsv(table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_cascades, data=st.data())
+    def test_duplicate_key_or_nonpositive_margin_rejected(self, rows, data):
+        table = build_table(_dataset(*rows), 2.0, mode="full")
+        if not len(table):
+            return
+        combos = list(table)
+        n = data.draw(st.integers(0, len(combos) - 1))
+        with pytest.raises(ValueError, match="twice"):
+            CombinationTable(combos + [combos[n]], table.mode)
+        entries = np.array([(*c.key, c.count, c.avg_margin) for c in combos], dtype=ENTRY)
+        entries["avg_margin"][n] = data.draw(st.sampled_from([0.0, -0.0, -1e-300, -2.5, np.nan]))
+        with pytest.raises(ValueError, match="avg_margin"):
+            CombinationTable(entries, table.mode)
+
+    def test_array_rows_checked_like_entries(self):
+        def rows(*entries):
+            return np.array(list(entries), dtype=ENTRY)
+
+        for bad, problem in (
+            (rows((1, 2, 2, 1, 0.5)), "distinct"),
+            (rows((1, 1, 2, 1, 0.5)), "distinct"),
+            (rows((1, 2, 3, 0, 0.5)), "count"),
+        ):
+            with pytest.raises(ValueError, match=problem):
+                CombinationTable(bad, "full")
+        table = CombinationTable(rows((1, 2, 3, 2, 0.5), (1, 3, 2, 1, 0.25)), "full")
+        assert list(table) == [Combination(1, 2, 3, 2, 0.5), Combination(1, 3, 2, 1, 0.25)]
+        with pytest.raises(ValueError):
+            table.avg_margin[0] = 1.0  # columns are read-only
+
+    def test_columns_have_fixed_dtypes(self):
+        table = build_table(_dataset([1, 2, 3, 4], [2, 1, 3]), 2.0, mode="full")
+        for name in ("source", "earlier", "later", "count"):
+            assert getattr(table, name).dtype == np.int64
+        assert table.avg_margin.dtype == np.float64
+        empty = CombinationTable([], "dominant")
+        assert len(empty) == 0 and list(empty) == [] and empty.source.dtype == np.int64

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from casembed.model import (
     load_model,
     save_model,
 )
+from casembed.synthetic import emit_cascades, generate_world
 
 
 class Cfg:
@@ -79,6 +81,46 @@ class TestInitModel:
                 for u in model.space_of(s)
             }
             assert model.susceptibility_size() == len(pairs)
+
+
+# SHA-256 of save_model(init_model(...)) per corpus, mode and variant: row
+# numbering follows first appearance in the table, so a change in allocation
+# order changes these bytes.
+_INIT_DIGESTS = {
+    ("synthetic", "dominant", "independent"): "89436a7baaa7582580ced760b40e3d04fe12e1e84b316b8345a7694ad7b778f2",
+    ("synthetic", "dominant", "shared_susceptibility"): "008a66ec154322ad60ff3f27dea25be16737757970c84650ad0c4f338ec8ea23",
+    ("synthetic", "dominant", "single_space"): "d79bfe96bd32618189603b262f750dc27d42f5f43d9cb5cd38c1e957800a6b08",
+    ("synthetic", "full", "independent"): "89436a7baaa7582580ced760b40e3d04fe12e1e84b316b8345a7694ad7b778f2",
+    ("synthetic", "full", "shared_susceptibility"): "008a66ec154322ad60ff3f27dea25be16737757970c84650ad0c4f338ec8ea23",
+    ("synthetic", "full", "single_space"): "d79bfe96bd32618189603b262f750dc27d42f5f43d9cb5cd38c1e957800a6b08",
+    ("overlapping", "dominant", "independent"): "d7d16e6c7cf5149ac46d3058f6bd82a9229cf2f282432c8abeb1cae833a9cc73",
+    ("overlapping", "dominant", "shared_susceptibility"): "d0ba8613f50a1c8286a8e4141dca992d6e91e21e28e033514883190c91e4c851",
+    ("overlapping", "dominant", "single_space"): "afa6ffa6eb8db9b42cc7062ea8e6423b0365baef8e24349f3f22ad4db8956ff9",
+    ("overlapping", "full", "independent"): "eb8302f8570bc5d0b12c9dd3fafc1569a96d61a97e10ef70810aa661d60a95f3",
+    ("overlapping", "full", "shared_susceptibility"): "fe0a1e1eb7a7ac927cb71ee6cf4288c92c29547659ec61fdee25e75aaa0c08f5",
+    ("overlapping", "full", "single_space"): "d5f59295b4f242231eaf3777eedf2c2957088b135f710f12c94f08f25e4e60f1",
+}
+
+
+def _pinned_corpus(name):
+    if name == "synthetic":
+        world = generate_world(3, 8, 2, seed=5, noise=0.3)
+        return emit_cascades(world, 6, 5, seed=6)
+    # sources also appear as infected users, and users recur across sources
+    rng = np.random.default_rng(8)
+    rows = [
+        (f"c{i}", [f"t{u}" for u in rng.choice(9, size=int(rng.integers(2, 7)), replace=False)])
+        for i in range(30)
+    ]
+    return CascadeDataset.from_token_rows(rows)
+
+
+@pytest.mark.parametrize("corpus,mode,variant", sorted(_INIT_DIGESTS))
+def test_init_model_bytes_pinned(corpus, mode, variant):
+    table = build_table(_pinned_corpus(corpus), mode=mode)
+    model = init_model(table, Cfg(3, variant), np.random.default_rng(2))
+    digest = hashlib.sha256(save_model(model)).hexdigest()
+    assert digest == _INIT_DIGESTS[corpus, mode, variant]
 
 
 class TestDistance:
@@ -207,6 +249,43 @@ class TestSaveLoad:
         blob = save_model(init_model(_table((1, 2, 3)), Cfg(2), np.random.default_rng(0)))
         with pytest.raises(ModelFormatError, match="trailing"):
             load_model(blob + b"\x00")
+
+    def test_repeated_id_in_block_rejected_at_its_offset(self):
+        coords = np.zeros((2, 2))
+        blob = bytearray(save_model(EmbeddingModel(2, "single_space", coords, {3: 0, 4: 1})))
+        # header (13 bytes), empty token table (4), influence count (4),
+        # then each point: u32 id + 2 float64 coordinates
+        second = 13 + 4 + 4 + (4 + 16)
+        blob[second : second + 4] = (3).to_bytes(4, "little")
+        with pytest.raises(ModelFormatError, match="repeats") as err:
+            load_model(bytes(blob))
+        assert err.value.offset == second
+
+    def test_repeated_source_block_rejected(self):
+        model = EmbeddingModel(
+            1, "independent", np.zeros((4, 1)), {0: 0, 1: 1}, spaces={0: {5: 2}, 1: {5: 3}}
+        )
+        blob = bytearray(save_model(model))
+        # header, tokens, influence block of two 12-byte points, space count,
+        # then source 0's block (u32 source, u32 count, one point)
+        second = 13 + 4 + 4 + 2 * 12 + 4 + (4 + 4 + 12)
+        assert blob[second : second + 4] == (1).to_bytes(4, "little")
+        blob[second : second + 4] = (0).to_bytes(4, "little")
+        with pytest.raises(ModelFormatError, match="repeats") as err:
+            load_model(bytes(blob))
+        assert err.value.offset == second
+
+    def test_id_past_token_table_rejected_at_its_offset(self):
+        model = EmbeddingModel(
+            2, "single_space", np.zeros((2, 2)), {0: 0, 5: 1}, tokens=("a", "b")
+        )
+        blob = save_model(model)
+        # header, token count and two 1-byte tokens, influence count, point 0
+        bad = 13 + 4 + 2 * (4 + 1) + 4 + (4 + 16)
+        assert blob[bad : bad + 4] == (5).to_bytes(4, "little")
+        with pytest.raises(ModelFormatError, match="token table") as err:
+            load_model(blob)
+        assert err.value.offset == bad
 
 
 def test_construction_validates_rows_and_finiteness():

@@ -44,7 +44,6 @@ class TestConfig:
             {"epochs": 1, "dimension": 0},
             {"epochs": 1, "learning_rate": 0.0},
             {"epochs": 1, "mu": 1.0},
-            {"epochs": 1, "kernel_time": 0.0},
             {"epochs": 1, "sampling": "all"},
             {"epochs": 1, "variant": "both"},
         ],
@@ -148,6 +147,18 @@ class TestRunEpoch:
         stats = run_epoch(model, table, 0.1)
         assert stats.active_count == 0
         assert stats.total_loss == 0.0
+        np.testing.assert_array_equal(model.coords, before)
+
+    @pytest.mark.parametrize("missing", [(7, 1, 2), (0, 1, 9), (0, 9, 2)])
+    def test_unallocated_coordinates_name_the_combination(self, missing):
+        # the source, the later user or the earlier user lacks a coordinate
+        model = _model([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        before = model.coords.copy()
+        table = CombinationTable(
+            [Combination(0, 1, 2, 1, 1.0), Combination(*missing, 1, 1.0)], mode="full"
+        )
+        with pytest.raises(ModelError, match=rf"combination \({', '.join(map(str, missing))}\)"):
+            run_epoch(model, table, 0.1)
         np.testing.assert_array_equal(model.coords, before)
 
     def test_per_coordinate_touch_averaging(self):
