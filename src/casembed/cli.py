@@ -222,6 +222,7 @@ def cmd_eval(args) -> int:
                 "map": report.map,
                 "cascades": report.num_cascades,
                 "unknown_sources": report.num_unknown_sources,
+                "unseen": report.total_unseen,
             },
         )
     else:

@@ -1,8 +1,8 @@
 """Cascade corpus parsing, validation, and splitting.
 
-A cascade file is line-oriented UTF-8 text; LF and CRLF endings are both
-accepted. Blank lines and lines whose first character is '#' are skipped.
-Every other line is
+A cascade file is line-oriented UTF-8 text; LF, CRLF and CR end a line, as
+in a text-mode file, and no other character does. Blank lines and lines
+whose first character is '#' are skipped. Every other line is
 
     <cascade_id><TAB><user tokens separated by spaces>
 
@@ -14,6 +14,7 @@ tokens are kept so datasets round-trip through serialization.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -173,7 +174,9 @@ def parse_cascade_file(text: str | Iterable[str]) -> CascadeDataset:
     missing tab, and CascadeValidationError for a duplicate user within one
     line; both name the offending line number.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
+    # A string splits exactly as a text-mode file does: at LF, CRLF and CR
+    # only, not at the other separators str.splitlines() also breaks on.
+    lines = io.StringIO(text, newline=None) if isinstance(text, str) else text
     rows: list[tuple[str, list[str]]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")

@@ -1,5 +1,9 @@
 """Distance ranking for a source and average-precision scoring.
 
+A ranking belongs to a source, not to a cascade: it orders the source's
+whole susceptibility space, so `evaluate` ranks each distinct test source
+once and scores all of that source's cascades against the one ranking.
+
 The AP of a ranking against a truth cascade with R infected users: for each
 truth user found at position k of the ranking add |top-k of ranking that are
 truth| / k, then divide by R. Truth users absent from the ranking contribute
@@ -29,13 +33,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RankedPrediction:
-    """Candidates of one source, ascending by squared distance with ties
-    broken by ascending user id; candidates without a distance sort last
-    and are counted in unseen_count."""
+    """Candidates of one source as (user, squared distance) pairs, ascending
+    by squared distance with ties broken by ascending user id."""
 
     source: int
-    ranking: tuple[tuple[int, float | None], ...]
-    unseen_count: int = 0
+    ranking: tuple[tuple[int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -74,19 +76,9 @@ def rank_for_source(model: EmbeddingModel, source: int) -> RankedPrediction:
     if model.influence_point(source) is None:
         raise ModelError(f"user {source} has no influence coordinate")
     space = model.space_of(source) or {}
-    scored: list[tuple[int, float]] = []
-    unseen: list[tuple[int, None]] = []
-    for user in space:
-        if user == source:
-            continue
-        d2 = model.distance_sq(source, user)
-        if d2 is None:
-            unseen.append((user, None))
-        else:
-            scored.append((user, d2))
+    scored = [(user, model.distance_sq(source, user)) for user in space if user != source]
     scored.sort(key=lambda item: (item[1], item[0]))
-    unseen.sort()
-    return RankedPrediction(source, tuple(scored + unseen), len(unseen))
+    return RankedPrediction(source, tuple(scored))
 
 
 def _prefix_ap(ranked_users: Iterable[int], truth_users: set[int], truth_total: int) -> float:
@@ -117,7 +109,9 @@ def evaluate(
 ) -> EvalReport:
     """Score every test cascade; MAP is the mean AP over all of them.
 
-    Cascades whose source is unknown to the model score 0 and are flagged
+    Each distinct known source is ranked once, on its first cascade, and
+    every cascade of that source is scored against that ranking. Cascades
+    whose source is unknown to the model score 0 and are flagged
     rather than skipped. Test users are matched to the model through their
     string tokens when the model carries a token table; otherwise ids are
     assumed shared. `threads` is accepted for compatibility and ignored:
@@ -132,6 +126,8 @@ def evaluate(
         def to_model_id(user: int) -> int | None:
             return user
 
+    rankings: dict[int, list[int]] = {}
+
     def score(cascade: Cascade) -> CascadeScore:
         truth_total = cascade.num_infected
         source = to_model_id(cascade.source)
@@ -139,8 +135,9 @@ def evaluate(
             return CascadeScore(
                 cascade.cascade_id, 0.0, 0, truth_total, source_known=False
             )
-        prediction = rank_for_source(model, source)
-        ranked = [user for user, _ in prediction.ranking]
+        ranked = rankings.get(source)
+        if ranked is None:
+            ranked = rankings[source] = [u for u, _ in rank_for_source(model, source).ranking]
         truth = {
             mapped
             for mapped in (to_model_id(u) for u in cascade.infected)

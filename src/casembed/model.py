@@ -23,9 +23,9 @@ Model file layout (integers and floats little-endian):
         shared        u32 point count, then points
         single_space  nothing (rows live in the influence block)
 
-A user id occurs at most once per point block (and a source id once among
-the per-source blocks); when the token table is non-empty every id indexes
-into it.
+Tokens are distinct. A user id occurs at most once per point block (and a
+source id once among the per-source blocks); when the token table is
+non-empty every id indexes into it. Coordinates are finite.
 """
 
 from __future__ import annotations
@@ -120,6 +120,8 @@ class EmbeddingModel:
             self._shared = self._influence
         self.tokens = tuple(tokens)
         self._token_ids = {tok: i for i, tok in enumerate(self.tokens)}
+        if len(self._token_ids) != len(self.tokens):
+            raise ModelError("token table contains duplicate tokens")
         self._check_rows()
 
     def _check_rows(self):
@@ -333,12 +335,16 @@ def _read_id(reader: _Reader, seen: Mapping[int, object], id_limit: int | None) 
 
 
 def _read_points(
-    reader: _Reader, dim: int, coords: list[np.ndarray], id_limit: int | None
+    reader: _Reader, dim: int, coords: list[np.ndarray], starts: list[int],
+    id_limit: int | None,
 ) -> dict[int, int]:
+    """Read one point block, appending each point's coordinates to `coords`
+    and their byte offset to `starts`."""
     count = reader.u32()
     mapping: dict[int, int] = {}
     for _ in range(count):
         user = _read_id(reader, mapping, id_limit)
+        starts.append(reader.offset)
         values = np.frombuffer(reader.take(8 * dim), dtype="<f8").astype(np.float64)
         mapping[user] = len(coords)
         coords.append(values)
@@ -359,29 +365,42 @@ def load_model(data: bytes) -> EmbeddingModel:
     if tag >= len(VARIANTS):
         raise ModelFormatError(f"unknown variant tag {tag}", tag_offset)
     variant = VARIANTS[tag]
-    tokens = []
+    tokens: list[str] = []
+    seen: set[str] = set()
     for _ in range(reader.u32()):
+        length_offset = reader.offset
         length = reader.u32()
         raw = reader.take(length)
         try:
-            tokens.append(raw.decode("utf-8"))
+            token = raw.decode("utf-8")
         except UnicodeDecodeError:
             raise ModelFormatError("token is not valid UTF-8", reader.offset - length)
+        if token in seen:
+            raise ModelFormatError(f"token {token!r} repeats", length_offset)
+        seen.add(token)
+        tokens.append(token)
     coords: list[np.ndarray] = []
+    starts: list[int] = []
     id_limit = len(tokens) if tokens else None
-    influence = _read_points(reader, dim, coords, id_limit)
+    influence = _read_points(reader, dim, coords, starts, id_limit)
     spaces: dict[int, dict[int, int]] | None = None
     shared: dict[int, int] | None = None
     if variant == "independent":
         spaces = {}
         for _ in range(reader.u32()):
             source = _read_id(reader, spaces, id_limit)
-            spaces[source] = _read_points(reader, dim, coords, id_limit)
+            spaces[source] = _read_points(reader, dim, coords, starts, id_limit)
     elif variant == "shared_susceptibility":
-        shared = _read_points(reader, dim, coords, id_limit)
+        shared = _read_points(reader, dim, coords, starts, id_limit)
     if reader.offset != len(reader.data):
         raise ModelFormatError("trailing bytes after model", reader.offset)
     packed = np.array(coords) if coords else np.zeros((0, dim))
+    # Rows follow file order, so the first non-finite value in row-major
+    # order is the first in the file.
+    bad = np.flatnonzero(~np.isfinite(packed))
+    if bad.size:
+        row, col = divmod(int(bad[0]), dim)
+        raise ModelFormatError("coordinates must be finite", starts[row] + 8 * col)
     try:
         return EmbeddingModel(
             dim,

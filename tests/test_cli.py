@@ -193,7 +193,11 @@ class TestEval:
         json_aps = {json.loads(l)["id"]: json.loads(l)["ap"] for l in json_lines[:-1]}
         tsv_aps = {l.split("\t")[0]: float(l.split("\t")[1]) for l in tsv_lines[:-1]}
         assert json_aps == tsv_aps
-        assert (tmp_path / "report.jsonl.manifest.json").is_file()
+        summary = json.loads(json_lines[-1])
+        for out in (json_out, tsv_out):
+            stats = json.loads(Path(str(out) + ".manifest.json").read_text())["stats"]
+            assert stats == {key: summary[key] for key in
+                             ("map", "cascades", "unknown_sources", "unseen")}
 
     def test_report_to_stdout_without_out(self, trained, capsys):
         model_path, test_path = trained

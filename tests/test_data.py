@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casembed.data import (
     Cascade,
@@ -7,6 +9,7 @@ from casembed.data import (
     CascadeError,
     CascadeParseError,
     CascadeValidationError,
+    load_cascade_file,
     parse_cascade_file,
     serialize_cascades,
     split_dataset,
@@ -103,6 +106,68 @@ def test_serialize_parse_round_trip():
         for a, b in zip(again, ds):
             assert [again.token(u) for u in a.users] == [ds.token(u) for u in b.users]
             assert a.users == b.users  # identical first-appearance interning
+
+
+def _contents(ds):
+    return (
+        [c.cascade_id for c in ds],
+        [[ds.token(u) for u in c.users] for c in ds],
+        ds.tokens,
+    )
+
+
+def test_string_splits_lines_like_a_file(tmp_path):
+    # \x1c and \u2028 end a line for str.splitlines() but not for a file
+    text = "a\x1cb\tx y\nc\u2028d\tx z\r\n# note\x85more\n"
+    path = tmp_path / "odd.cascades"
+    path.write_bytes(text.encode("utf-8"))
+    ds = parse_cascade_file(text)
+    assert [c.cascade_id for c in ds] == ["a\x1cb", "c\u2028d"]
+    assert _contents(ds) == _contents(load_cascade_file(path))
+
+
+# Grammar of a cascade file: an id is any text without tab or line break that
+# does not start with '#' and is not blank; a user token is any text without
+# whitespace. Both may hold characters that other line splitters break at.
+_ODD = "\x1c\x1d\x1e\x85\x0b\x0c\u2028\u2029"
+_id = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r")
+    | st.sampled_from(_ODD),
+    min_size=1, max_size=6,
+).filter(lambda s: s.strip() and not s.startswith("#"))
+_token = st.text(
+    st.characters(exclude_categories=("Cs",)), min_size=1, max_size=4
+).filter(lambda t: t.split() == [t])
+_cascade_line = st.builds(
+    lambda cascade_id, users: f"{cascade_id}\t{' '.join(users)}",
+    _id, st.lists(_token, min_size=2, max_size=5, unique=True),
+)
+_comment = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\n\r")
+    | st.sampled_from(_ODD),
+    max_size=6,
+).map(lambda s: "#" + s)
+_blank = st.text(st.sampled_from(" \t"), max_size=3)
+_text = st.lists(
+    st.tuples(st.one_of(_cascade_line, _cascade_line, _comment, _blank),
+              st.sampled_from(["\n", "\r\n"])),
+    max_size=8,
+).map(lambda lines: "".join(line + end for line, end in lines))
+
+
+@settings(max_examples=150)
+@given(text=_text)
+def test_string_and_file_parse_alike(text, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "property.cascades"
+    path.write_bytes(text.encode("utf-8"))
+    assert _contents(parse_cascade_file(text)) == _contents(load_cascade_file(path))
+
+
+@settings(max_examples=150)
+@given(text=_text)
+def test_parse_serialize_parse_round_trip(text):
+    ds = parse_cascade_file(text)
+    assert _contents(parse_cascade_file(serialize_cascades(ds))) == _contents(ds)
 
 
 def test_dataset_users_is_union_of_members():

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -46,7 +47,6 @@ class TestRankForSource:
         model = _model([0.0, 0.0], {})
         pred = rank_for_source(model, 0)
         assert pred.ranking == ()
-        assert pred.unseen_count == 0
 
     def test_unknown_source_raises(self):
         model = _model([0.0, 0.0], {1: [1.0, 0.0]})
@@ -182,6 +182,33 @@ class TestEvaluate:
         model, test_set = self._pipeline()
         reordered = CascadeDataset(list(reversed(test_set.cascades)), test_set.tokens)
         assert evaluate(model, reordered).map == pytest.approx(evaluate(model, test_set).map)
+
+    def test_ranks_each_known_source_once(self, monkeypatch):
+        model, test_set = self._pipeline()
+        rows = [(c.cascade_id, [test_set.token(u) for u in c.users]) for c in test_set]
+        rows.append(("ghost-c0", ["ghost", test_set.token(test_set[0].infected[0])]))
+        test_set = CascadeDataset.from_token_rows(rows)
+        calls = []
+
+        def counting(model, source):
+            calls.append(source)
+            return rank_for_source(model, source)
+
+        # The package re-exports the function `evaluate` under the module's name.
+        monkeypatch.setattr(sys.modules["casembed.evaluate"], "rank_for_source", counting)
+        report = evaluate(model, test_set)
+        sources = {model.user_id(test_set.token(c.source)) for c in test_set} - {None}
+        assert len(sources) < test_set.num_cascades - 1  # sources repeat
+        assert sorted(calls) == sorted(sources)
+        for cascade, scored in zip(test_set, report.per_cascade):
+            users = tuple(model.user_id(test_set.token(u)) for u in cascade.users)
+            if users[0] is None:
+                assert not scored.source_known
+                continue
+            assert None not in users
+            prediction = rank_for_source(model, users[0])
+            assert scored.ap == average_precision(prediction, Cascade("t", users))
+            assert scored.candidate_count == len(prediction.ranking)
 
     def test_threads_do_not_change_results(self):
         model, test_set = self._pipeline()

@@ -1,8 +1,12 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from casembed.combinations import Combination, CombinationTable, build_table
 from casembed.data import CascadeDataset
@@ -287,6 +291,102 @@ class TestSaveLoad:
             load_model(blob)
         assert err.value.offset == bad
 
+    def test_repeated_token_rejected_at_its_length(self):
+        model = EmbeddingModel(
+            2, "single_space", np.zeros((2, 2)), {0: 0, 1: 1}, tokens=("ab", "ac")
+        )
+        blob = bytearray(save_model(model))
+        # header, token count, then token 0 as u32 length + 2 bytes
+        second = 13 + 4 + (4 + 2)
+        assert blob[second + 4 : second + 6] == b"ac"
+        blob[second + 5] = ord("b")
+        with pytest.raises(ModelFormatError, match="repeats") as err:
+            load_model(bytes(blob))
+        assert err.value.offset == second
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected_at_its_offset(self, value):
+        model = EmbeddingModel(2, "single_space", np.zeros((2, 2)), {0: 0, 1: 1})
+        # header, empty token table, influence count, then u32 id + coords
+        first = 13 + 4 + 4 + 4
+        for bad in (first, first + 8 + 4 + 8 + 8):  # point 0 dim 0, point 1 dim 1
+            blob = bytearray(save_model(model))
+            blob[bad : bad + 8] = struct.pack("<d", value)
+            with pytest.raises(ModelFormatError, match="finite") as err:
+                load_model(bytes(blob))
+            assert err.value.offset == bad
+
+
+@st.composite
+def _models(draw):
+    """Any savable model: every variant, with or without a token table."""
+    variant = draw(st.sampled_from(VARIANTS))
+    dimension = draw(st.integers(1, 3))
+    # Tokens over a small alphabet often differ in one byte, so byte
+    # overwrites can turn one into another.
+    tokens = tuple(draw(st.lists(st.text("ab\u00e9", max_size=3), max_size=6, unique=True)))
+    ids = st.integers(0, len(tokens) - 1) if tokens else st.integers(0, 2**32 - 1)
+    blocks = st.lists(ids, max_size=4, unique=True)
+    influence = draw(blocks)
+    spaces = shared = None
+    points = list(influence)
+    if variant == "independent":
+        sources = draw(st.lists(st.sampled_from(influence), unique=True)) if influence else []
+        spaces = {s: draw(blocks) for s in sources}
+        for space in spaces.values():
+            points += space
+    elif variant == "shared_susceptibility":
+        shared = draw(blocks)
+        points += shared
+    coords = draw(arrays(np.float64, (len(points), dimension),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    rows = iter(range(len(points)))
+
+    def block(users):
+        return {u: next(rows) for u in users}
+
+    influence = block(influence)
+    if spaces is not None:
+        spaces = {s: block(users) for s, users in spaces.items()}
+    if shared is not None:
+        shared = block(shared)
+    return EmbeddingModel(dimension, variant, coords, influence,
+                          spaces=spaces, shared_space=shared, tokens=tokens)
+
+
+class TestModelFileProperties:
+    @settings(max_examples=60)
+    @given(model=_models())
+    def test_round_trip_is_bit_exact(self, model):
+        blob = save_model(model)
+        again = load_model(blob)
+        assert again == model
+        assert again.tokens == model.tokens
+        assert save_model(again) == blob
+
+    @settings(max_examples=100)
+    @given(model=_models())
+    def test_every_truncation_fails_at_or_before_the_cut(self, model):
+        blob = save_model(model)
+        for cut in range(len(blob)):
+            with pytest.raises(ModelFormatError) as err:
+                load_model(blob[:cut])
+            assert err.value.offset <= cut
+
+    @settings(max_examples=150)
+    @given(model=_models(), mask=st.integers(1, 255))
+    def test_every_byte_overwrite_fails_cleanly_or_resaves_exactly(self, model, mask):
+        blob = save_model(model)
+        for at in range(len(blob)):
+            damaged = bytearray(blob)
+            damaged[at] ^= mask
+            try:
+                loaded = load_model(bytes(damaged))
+            except ModelFormatError:
+                continue
+            assert len(set(loaded.tokens)) == len(loaded.tokens)
+            assert save_model(loaded) == bytes(damaged)
+
 
 def test_construction_validates_rows_and_finiteness():
     with pytest.raises(ModelError):
@@ -295,3 +395,5 @@ def test_construction_validates_rows_and_finiteness():
         EmbeddingModel(2, "independent", np.array([[np.nan, 0.0]]), {0: 0}, spaces={})
     with pytest.raises(ModelError):
         EmbeddingModel(2, "imaginary", np.zeros((0, 2)), {})
+    with pytest.raises(ModelError, match="duplicate tokens"):
+        EmbeddingModel(2, "single_space", np.zeros((0, 2)), {}, tokens=("a", "b", "a"))
