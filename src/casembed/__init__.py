@@ -53,6 +53,7 @@ from casembed.synthetic import PlantedWorld, emit_cascades, generate_world
 from casembed.training import (
     EpochStats,
     TrainConfig,
+    TrainHistory,
     accumulate_gradients,
     hinge_loss,
     predicted_gap,
@@ -80,6 +81,7 @@ __all__ = [
     "PlantedWorld",
     "RankedPrediction",
     "TrainConfig",
+    "TrainHistory",
     "VARIANTS",
     "accumulate_gradients",
     "average_precision",

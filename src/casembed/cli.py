@@ -19,7 +19,8 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
-from casembed.combinations import build_table
+# Not called here: bench/traced.py times build_table through this name.
+from casembed.combinations import build_table  # noqa: F401
 from casembed.data import (
     CascadeError,
     load_cascade_file,
@@ -29,7 +30,7 @@ from casembed.data import (
 from casembed.evaluate import evaluate, report_json_lines, report_tsv
 from casembed.model import ModelError, init_model, load_model_file, save_model
 from casembed.synthetic import emit_cascades, generate_world
-from casembed.training import TrainConfig, _pack_table, train
+from casembed.training import TrainConfig, train
 
 __all__ = ["main", "build_parser", "CliError"]
 
@@ -147,7 +148,6 @@ def cmd_train(args) -> int:
     )
     dataset = _read_dataset(args.train)
     model, history = train(dataset, config)
-    table = build_table(dataset, mu=config.mu, mode=config.sampling)
     args.model_out.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(args.model_out, save_model(model))
     log_lines = "".join(
@@ -161,9 +161,9 @@ def cmd_train(args) -> int:
     else:
         sys.stdout.write(log_lines)
     stats = {
-        "table_entries": len(table),
+        "table_entries": history.combinations,
         "points": model.num_points,
-        "slots": len(_pack_table(model, table).slot_x),
+        "slots": history.slots,
         "epochs_run": len(history),
         "initial_loss": history[0].total_loss if history else 0.0,
         "final_loss": history[-1].total_loss if history else 0.0,

@@ -161,6 +161,26 @@ def extract_triples(
     return out
 
 
+def _unique_first(key: np.ndarray):
+    """Distinct keys, each one's first position, the inverse and the counts.
+
+    Equals ``np.unique(key, return_index=True, return_inverse=True,
+    return_counts=True)`` for a 1-D integer array, output for output, but
+    sorts once without the stable sort that return_index makes np.unique
+    use: a key's first position is the least one in its run of the sort.
+    """
+    order = np.argsort(key)
+    ordered = key[order]
+    run_start = np.empty(len(key), dtype=bool)
+    run_start[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    inverse = np.empty(len(key), dtype=np.intp)
+    inverse[order] = np.cumsum(run_start) - 1
+    counts = np.diff(starts, append=len(key))
+    return ordered[starts], np.minimum.reduceat(order, starts), inverse, counts
+
+
 def build_table(
     dataset: CascadeDataset, mu: float = 2.0, mode: str = "dominant"
 ) -> CombinationTable:
@@ -206,10 +226,7 @@ def build_table(
     at_later = start + 1 + np.concatenate(later_parts)
     earlier, later = flat[at_earlier], flat[at_later]
     key = pair[at_earlier] * base + later
-    # with return_index, np.unique sorts stably: `first` is each key's first occurrence
-    keys, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True
-    )
+    keys, first, inverse, counts = _unique_first(key)  # `first`: each key's first occurrence
     # bincount adds in input order, which is the order a running sum per
     # key over the cascades uses, so the means are reproducible bit for bit.
     means = np.bincount(inverse, weights=margins) / counts

@@ -201,7 +201,22 @@ def parse_cascade_file(text: str | Iterable[str]) -> CascadeDataset:
 
 
 def serialize_cascades(dataset: CascadeDataset) -> str:
-    """Render a dataset back to cascade file text (parse round-trips)."""
+    """Render a dataset back to cascade file text (parse round-trips).
+
+    Raises CascadeValidationError, naming the value, for what the text
+    cannot carry: a cascade id that is blank, holds a tab or a line break,
+    or starts with '#', and a token that is empty or holds whitespace.
+    """
+    tokens = dataset.tokens
+    if " ".join(tokens).split() != list(tokens):
+        bad = next(tok for tok in tokens if tok.split() != [tok])
+        raise CascadeValidationError(f"token {bad!r} is empty or holds whitespace")
+    for c in dataset:
+        cid = c.cascade_id
+        if not cid.strip() or cid.startswith("#") or "\t" in cid or "\n" in cid or "\r" in cid:
+            raise CascadeValidationError(
+                f"cascade id {cid!r} is blank, starts with '#' or holds a tab or line break"
+            )
     return "".join(
         f"{c.cascade_id}\t{' '.join(dataset.token(u) for u in c.users)}\n"
         for c in dataset

@@ -38,6 +38,8 @@ from typing import Mapping
 
 import numpy as np
 
+from casembed.combinations import _unique_first
+
 __all__ = [
     "VARIANTS",
     "ModelError",
@@ -252,7 +254,7 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
     if variant != "single_space":
         space[:, 1:] = 1 + source_at[:, None] if variant == "independent" else 1
     space, users = space.ravel(), np.stack([table.source, table.earlier, table.later], 1).ravel()
-    at = np.sort(np.unique(space * (int(users.max(initial=0)) + 1) + users, return_index=True)[1])
+    at = np.sort(_unique_first(space * (int(users.max(initial=0)) + 1) + users)[1])
     influence: dict[int, int] = {}
     spaces: dict[int, dict[int, int]] | None = {} if variant == "independent" else None
     shared: dict[int, int] | None = {} if variant == "shared_susceptibility" else None

@@ -47,6 +47,7 @@ __all__ = [
     "accumulate_gradients",
     "run_epoch",
     "train",
+    "TrainHistory",
     "work_meter",
 ]
 
@@ -276,24 +277,36 @@ def run_epoch(
     return stats
 
 
+class TrainHistory(list):
+    """The `EpochStats` of a `train` run, in epoch order, plus the sizes of
+    the fit: `combinations` table entries touching `slots` slots."""
+
+    def __init__(self, combinations: int, slots: int):
+        super().__init__()
+        self.combinations = combinations
+        self.slots = slots
+
+
 def train(
     train_set: CascadeDataset, config: TrainConfig
-) -> tuple[EmbeddingModel, list[EpochStats]]:
+) -> tuple[EmbeddingModel, TrainHistory]:
     """Fit latent coordinates to a training corpus.
 
     Builds the combination table per config.sampling, initializes the model
     from config.seed, and descends for up to config.epochs epochs, stopping
     early once no combination is active (further epochs would be no-ops).
-    Deterministic for a fixed config.
+    The history lists each epoch's stats and carries the table's entry count
+    (`combinations`) and slot count (`slots`), so callers need not build or
+    pack the table again. Deterministic for a fixed config.
     """
     table = build_table(train_set, mu=config.mu, mode=config.sampling)
     rng = np.random.default_rng(config.seed)
     model = init_model(table, config, rng)
-    history: list[EpochStats] = []
     if len(table) == 0:
         logger.warning("no training combinations extracted; model left at its init")
-        return model, history
+        return model, TrainHistory(0, 0)
     packed = _pack_table(model, table)
+    history = TrainHistory(len(table), len(packed.slot_x))
     for epoch in range(config.epochs):
         stats = _run_packed_epoch(model, packed, config.learning_rate, epoch)
         history.append(stats)

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import casembed.cli as cli
+import casembed.training as training
 from casembed.combinations import build_table
 from casembed.data import load_cascade_file
 from casembed.model import init_model, load_model_file, save_model
@@ -106,6 +110,35 @@ class TestTrain:
         assert stats["points"] >= 1
         assert 1 <= stats["slots"] <= 2 * stats["table_entries"]
 
+    @pytest.mark.parametrize("variant", sorted(cli._VARIANT_FLAGS))
+    @pytest.mark.parametrize("sampling", ["dominant", "full"])
+    def test_builds_and_packs_the_table_once(
+        self, corpus, tmp_path, monkeypatch, sampling, variant
+    ):
+        table = build_table(load_cascade_file(corpus), mode=sampling)
+        sources = table.source.tolist()
+        pairs = {*zip(sources, table.earlier.tolist()), *zip(sources, table.later.tolist())}
+        calls = {}
+        for name in ("build_table", "_pack_table"):
+            def counted(*args, _name=name, _original=getattr(training, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            # count calls through any name `cli` may hold for them, too
+            for module in (training, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        for epochs in (0, 3):
+            calls.update(build_table=0, _pack_table=0)
+            model_path = tmp_path / f"e{epochs}.iaem"
+            assert run("train", "--train", corpus, "--dim", 2, "--epochs", epochs,
+                       "--sampling", sampling, "--variant", variant,
+                       "--model-out", model_path) == 0
+            assert calls == {"build_table": 1, "_pack_table": 1}
+            manifest = json.loads(Path(str(model_path) + ".manifest.json").read_text())
+            assert manifest["stats"]["table_entries"] == len(table)
+            assert manifest["stats"]["slots"] == len(pairs)
+
     def test_epochs_zero_equals_initialization(self, corpus, tmp_path):
         model_path = tmp_path / "init.iaem"
         assert run("train", "--train", corpus, "--dim", 3, "--epochs", 0,
@@ -165,6 +198,25 @@ class TestTrain:
         monkeypatch.setattr(cli, "train", boom)
         assert run("train", "--train", corpus, "--epochs", 1,
                    "--model-out", tmp_path / "m.iaem") == 1
+
+
+def test_benchmark_tracer_runs_train(corpus, tmp_path):
+    """bench/traced.py looks the table build up through `cli` and `training`;
+    it must still trace one build per `train` and pass its checks."""
+    traced = Path(__file__).resolve().parent.parent / "bench" / "traced.py"
+    result = tmp_path / "traced.json"
+    argv = ["train", "--train", corpus, "--dim", 4, "--epochs", 2,
+            "--model-out", tmp_path / "m.iaem", "--log", tmp_path / "train.log"]
+    proc = subprocess.run(
+        [sys.executable, traced, result, *map(str, argv)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(result.read_text())
+    assert report["exit"] == 0
+    assert report["checks"] and all(report["checks"].values())
+    assert report["metrics"]["combinations.build_calls"] == 1
 
 
 class TestEval:

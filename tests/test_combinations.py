@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from casembed.combinations import (
     ENTRY,
     MODES,
+    _unique_first,
     Combination,
     CombinationTable,
     build_table,
@@ -208,6 +210,33 @@ def test_table_order_and_means_follow_the_cascades():
             for combo in table:
                 assert combo.count == counts[combo.key]
                 assert combo.avg_margin == sums[combo.key] / counts[combo.key]
+
+
+def _assert_unique_first_matches_np_unique(key):
+    expected = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    for got, want in zip(_unique_first(key), expected, strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.parametrize("key", [
+    [],
+    [7],
+    [3] * 50,
+    np.random.default_rng(4).integers(0, 4, size=20_000),  # heavy repeats
+    np.random.default_rng(5).integers(-(2**62), 2**62, size=5_000),
+])
+def test_unique_first_matches_np_unique(key):
+    _assert_unique_first_matches_np_unique(np.asarray(key, dtype=np.int64))
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=200)
+@given(key=arrays(np.int64, st.integers(0, 300), elements=st.integers(-3, 3) | _INT64))
+def test_unique_first_matches_np_unique_on_drawn_keys(key):
+    _assert_unique_first_matches_np_unique(key)
 
 
 def test_total_triples_match_complexity_factor():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,27 @@ def test_serialize_parse_round_trip():
         for a, b in zip(again, ds):
             assert [again.token(u) for u in a.users] == [ds.token(u) for u in b.users]
             assert a.users == b.users  # identical first-appearance interning
+
+
+def test_serialize_rejects_an_id_read_back_as_a_comment():
+    ds = CascadeDataset.from_token_rows([("#x", ["a", "b"]), ("y", ["a", "c"])])
+    # written out, the first line would parse as a comment and leave only 'y'
+    with pytest.raises(CascadeValidationError, match="'#x'"):
+        serialize_cascades(ds)
+
+
+@pytest.mark.parametrize("cascade_id", ["", " \x0b", "a\tb", "a\nb", "a\rb", "#x"])
+def test_serialize_rejects_ids_text_cannot_carry(cascade_id):
+    ds = CascadeDataset.from_token_rows([("ok", ["a", "b"]), (cascade_id, ["a", "c"])])
+    with pytest.raises(CascadeValidationError, match=re.escape(repr(cascade_id))):
+        serialize_cascades(ds)
+
+
+@pytest.mark.parametrize("token", ["", "a b", "a\tb", "a\x1cb", "b\n"])
+def test_serialize_rejects_tokens_text_cannot_carry(token):
+    ds = CascadeDataset.from_token_rows([("c1", ["a", "b"]), ("c2", ["a", token])])
+    with pytest.raises(CascadeValidationError, match=re.escape(repr(token))):
+        serialize_cascades(ds)
 
 
 def _contents(ds):
