@@ -223,6 +223,7 @@ def cmd_eval(args) -> int:
                 "cascades": report.num_cascades,
                 "unknown_sources": report.num_unknown_sources,
                 "unseen": report.total_unseen,
+                "chance_map": report.chance_map,
             },
         )
     else:

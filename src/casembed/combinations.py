@@ -84,6 +84,22 @@ class Combination:
         return (self.source, self.earlier, self.later)
 
 
+def _dense_key(columns: list[np.ndarray]) -> np.ndarray | None:
+    """One int64 per row, equal for two rows exactly when all their columns
+    are: mixed-radix digits offset by each column's minimum. None when the
+    columns' ranges multiply past int64."""
+    if not len(columns[0]):
+        return np.empty(0, dtype=np.int64)
+    lows = [int(c.min()) for c in columns]
+    spans = [int(c.max()) - low + 1 for c, low in zip(columns, lows)]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        return None
+    key = columns[0] - lows[0]
+    for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
+        key = key * span + (column - low)
+    return key
+
+
 class CombinationTable:
     """Combinations as parallel read-only columns, in insertion order.
 
@@ -116,8 +132,13 @@ class CombinationTable:
         bad |= (self.source == self.later) | (self.count < 1) | ~(self.avg_margin > 0)
         if bad.any():
             Combination(*rows[np.argmax(bad)].item())  # raises, naming the broken invariant
-        order = np.lexsort(columns[2::-1])  # by source, then earlier, then later
-        repeat = (np.diff(np.stack(columns[:3])[:, order]) == 0).all(axis=0)
+        key = _dense_key(columns[:3])
+        if key is None:  # the id ranges overflow int64: compare the columns
+            order = np.lexsort(columns[2::-1])  # by source, then earlier, then later
+            repeat = (np.diff(np.stack(columns[:3])[:, order]) == 0).all(axis=0)
+        else:
+            order = np.argsort(key)
+            repeat = np.diff(key[order]) == 0
         if repeat.any():
             raise ValueError(f"combination {rows[order[1:][repeat][0]].item()[:3]} occurs twice")
 

@@ -9,11 +9,20 @@ storage depends on the variant:
     shared_susceptibility   one susceptibility map serves every source
     single_space            susceptibility and influence share one map
 
+In memory each point block (the influence block, each per-source space, the
+shared space) is a pair of arrays, user ids and their coordinate rows, in
+block order: the order the file lists the block's points. Loading, saving,
+initialization, packing for training and ranking all read these arrays. The
+`{id: row}` dict a scalar query (`space_of`, `influence_point`,
+`distance_sq`, ...) needs is built per block on its first such query.
+Squared distances, scalar or bulk, come from one array expression, so
+`distance_sq` and a ranking agree bit for bit.
+
 Model file layout (integers and floats little-endian):
 
     magic     4 bytes   b"IAEM"
     version   u32       currently 1
-    dim       u32
+    dim       u32       at least 1
     variant   u8        0 independent, 1 shared_susceptibility, 2 single_space
     tokens    u32 count, then per token: u32 UTF-8 byte length + bytes
     influence u32 count, then per point: u32 user id + dim float64 coords
@@ -34,6 +43,7 @@ import math
 import os
 import struct
 import tempfile
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -56,6 +66,7 @@ VARIANTS = ("independent", "shared_susceptibility", "single_space")
 _VARIANT_TAGS = {name: tag for tag, name in enumerate(VARIANTS)}
 _MAGIC = b"IAEM"
 _VERSION = 1
+_U32 = struct.Struct("<I")
 
 
 class ModelError(Exception):
@@ -68,6 +79,51 @@ class ModelFormatError(ModelError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
+
+
+def _distances_sq(coords: np.ndarray, row_x: int, rows_y: np.ndarray) -> np.ndarray:
+    """Squared distances from point `row_x` to each point of `rows_y`.
+
+    The one expression behind both `distance_sq` and ranking: each result
+    depends only on its own two rows, so scalar and bulk agree bit for bit.
+    """
+    diff = coords[rows_y] - coords[row_x]
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+class _Block:
+    """One point block: user ids and their coordinate rows, in block order."""
+
+    def __init__(self, ids: np.ndarray, rows: np.ndarray, view: dict[int, int] | None = None):
+        self.ids = ids
+        self.rows = rows
+        if view is not None:
+            self.view = view
+
+    @classmethod
+    def of(cls, mapping: Mapping[int, int]) -> _Block:
+        view = dict(mapping)
+        count = len(view)
+        return cls(np.fromiter(view, np.int64, count),
+                   np.fromiter(view.values(), np.int64, count), view)
+
+    @cached_property
+    def view(self) -> dict[int, int]:
+        """The block as an `{id: row}` dict, built on first use."""
+        return dict(zip(self.ids.tolist(), self.rows.tolist()))
+
+    @cached_property
+    def _by_id(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.ids)
+        return self.ids[order], self.rows[order]
+
+    def find(self, users: np.ndarray) -> np.ndarray:
+        """Row of each of `users` in this block, -1 where absent."""
+        ids, rows = self._by_id
+        if not len(ids):
+            return np.full(len(users), -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(ids, users), len(ids) - 1)
+        return np.where(ids[at] == users, rows[at], -1)
 
 
 class EmbeddingModel:
@@ -99,44 +155,63 @@ class EmbeddingModel:
             )
         if coords.size and not np.isfinite(coords).all():
             raise ModelError("coordinates must be finite")
-        self.dimension = int(dimension)
-        self.variant = variant
-        self.coords = coords
-        self._influence: dict[int, int] = dict(influence)
+        space_blocks = shared = None
         if variant == "independent":
             if shared_space is not None:
                 raise ModelError("independent models take per-source spaces")
-            self._spaces: dict[int, dict[int, int]] | None = {
-                s: dict(m) for s, m in (spaces or {}).items()
-            }
-            self._shared: dict[int, int] | None = None
+            space_blocks = {s: _Block.of(m) for s, m in (spaces or {}).items()}
         elif variant == "shared_susceptibility":
             if spaces is not None:
                 raise ModelError("shared_susceptibility models take one shared space")
-            self._spaces = None
-            self._shared = dict(shared_space or {})
-        else:  # single_space: susceptibility aliases influence storage
-            if spaces is not None or shared_space is not None:
-                raise ModelError("single_space models store all points as influence")
-            self._spaces = None
-            self._shared = self._influence
+            shared = _Block.of(shared_space or {})
+        elif spaces is not None or shared_space is not None:
+            raise ModelError("single_space models store all points as influence")
+        self._assign(dimension, variant, coords, _Block.of(influence), space_blocks, shared,
+                     tokens)
+        rows = np.concatenate([block.rows for block in self._blocks()])
+        if len(rows) and not (0 <= rows.min() and rows.max() < len(coords)):
+            bad = rows[(rows < 0) | (rows >= len(coords))][0]
+            raise ModelError(f"coordinate row {bad} out of bounds for {len(coords)} points")
+
+    def _assign(self, dimension, variant, coords, influence, spaces, shared, tokens):
+        """Set the model's state from its blocks; single_space models serve
+        susceptibility from the influence block."""
+        self.dimension = int(dimension)
+        self.variant = variant
+        self.coords = coords
+        self._influence_block: _Block = influence
+        self._space_blocks: dict[int, _Block] | None = spaces
+        self._shared_block: _Block | None = influence if variant == "single_space" else shared
         self.tokens = tuple(tokens)
         self._token_ids = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self._token_ids) != len(self.tokens):
             raise ModelError("token table contains duplicate tokens")
-        self._check_rows()
 
-    def _check_rows(self):
-        total = len(self.coords)
-        rows = list(self._influence.values())
+    @classmethod
+    def _from_blocks(cls, dimension, variant, coords, influence, spaces=None, shared=None,
+                     tokens=()) -> EmbeddingModel:
+        """A model over blocks whose rows are known to be in bounds and
+        coordinates known to be finite."""
+        model = cls.__new__(cls)
+        model._assign(dimension, variant, coords, influence, spaces, shared, tokens)
+        return model
+
+    def _blocks(self) -> list[_Block]:
+        """Every point block, in file order."""
         if self.variant == "independent":
-            for space in self._spaces.values():
-                rows.extend(space.values())
-        elif self.variant == "shared_susceptibility":
-            rows.extend(self._shared.values())
-        for row in rows:
-            if not 0 <= row < total:
-                raise ModelError(f"coordinate row {row} out of bounds for {total} points")
+            return [self._influence_block, *self._space_blocks.values()]
+        if self.variant == "shared_susceptibility":
+            return [self._influence_block, self._shared_block]
+        return [self._influence_block]
+
+    def _space_block(self, source: int) -> _Block | None:
+        if self.variant == "independent":
+            return self._space_blocks.get(source)
+        return self._shared_block
+
+    @property
+    def _influence(self) -> dict[int, int]:
+        return self._influence_block.view
 
     # -- queries ---------------------------------------------------------
 
@@ -147,9 +222,8 @@ class EmbeddingModel:
 
     def space_of(self, source: int) -> Mapping[int, int] | None:
         """Row map of the susceptibility space serving `source`, or None."""
-        if self.variant == "independent":
-            return self._spaces.get(source)
-        return self._shared
+        block = self._space_block(source)
+        return None if block is None else block.view
 
     def influence_point(self, user: int) -> np.ndarray | None:
         row = self._influence.get(user)
@@ -174,8 +248,36 @@ class EmbeddingModel:
         row_y = space.get(user)
         if row_y is None:
             return None
-        diff = self.coords[row_x] - self.coords[row_y]
-        return float(diff @ diff)
+        return float(_distances_sq(self.coords, row_x, np.array([row_y]))[0])
+
+    def _space_distances(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the source's susceptibility space other than the source,
+        in block order, and their squared distances from its influence
+        point (each bit-equal to `distance_sq`). The source must have an
+        influence point."""
+        row_x = self._influence[source]
+        block = self._space_block(source)
+        if block is None:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        keep = block.ids != source
+        return block.ids[keep], _distances_sq(self.coords, row_x, block.rows[keep])
+
+    def _slot_rows(self, sources: np.ndarray, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For (source, user) pairs: the source's influence row and the
+        user's row in the source's space, each -1 where absent."""
+        distinct, at = np.unique(sources, return_inverse=True)
+        x = self._influence_block.find(distinct)[at]
+        if self.variant != "independent":
+            return x, self._shared_block.find(users)
+        y = np.full(len(users), -1, dtype=np.int64)
+        order = np.argsort(at, kind="stable")
+        bounds = np.searchsorted(at[order], np.arange(len(distinct) + 1))
+        for k, source in enumerate(distinct.tolist()):
+            block = self._space_blocks.get(source)
+            if block is not None:
+                pick = order[bounds[k] : bounds[k + 1]]
+                y[pick] = block.find(users[pick])
+        return x, y
 
     def diffusion_kernel(self, source: int, user: int, time: float = 1.0) -> float | None:
         """Contamination propensity (4*pi*t)^(-D/2) * exp(-d^2 / (4 t)).
@@ -205,22 +307,22 @@ class EmbeddingModel:
     def susceptibility_size(self) -> int:
         """Number of allocated (source, user) susceptibility slots."""
         if self.variant == "independent":
-            return sum(len(space) for space in self._spaces.values())
-        return len(self._shared)
+            return sum(len(block.ids) for block in self._space_blocks.values())
+        return len(self._shared_block.ids)
 
     # -- equality (used by round-trip tests) ------------------------------
 
     def _state(self):
-        def rows(mapping):
-            return {k: self.coords[r].tobytes() for k, r in mapping.items()}
+        def rows(block):
+            return {k: self.coords[r].tobytes() for k, r in block.view.items()}
 
         if self.variant == "independent":
-            spaces = {s: rows(m) for s, m in self._spaces.items()}
+            spaces = {s: rows(b) for s, b in self._space_blocks.items()}
         elif self.variant == "shared_susceptibility":
-            spaces = rows(self._shared)
+            spaces = rows(self._shared_block)
         else:
             spaces = None
-        return (self.dimension, self.variant, self.tokens, rows(self._influence), spaces)
+        return (self.dimension, self.variant, self.tokens, rows(self._influence_block), spaces)
 
     def __eq__(self, other):
         if not isinstance(other, EmbeddingModel):
@@ -255,53 +357,74 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
         space[:, 1:] = 1 + source_at[:, None] if variant == "independent" else 1
     space, users = space.ravel(), np.stack([table.source, table.earlier, table.later], 1).ravel()
     at = np.sort(_unique_first(space * (int(users.max(initial=0)) + 1) + users)[1])
-    influence: dict[int, int] = {}
-    spaces: dict[int, dict[int, int]] | None = {} if variant == "independent" else None
-    shared: dict[int, int] | None = {} if variant == "shared_susceptibility" else None
-    for row, (s, user) in enumerate(zip(space[at].tolist(), users[at].tolist())):
-        if s == 0:
-            influence[user] = row
-        elif spaces is not None:
-            spaces.setdefault(int(sources[s - 1]), {})[user] = row
-        else:
-            shared[user] = row
+    point_space, point_user = space[at], users[at]
+    # Group rows by space, ascending within each; a block's order is its rows'
+    # order, and blocks follow their first rows.
+    by_space = np.argsort(point_space, kind="stable")
+    grouped = point_space[by_space]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+    bounds = np.append(starts, len(at))
+    blocks = {}
+    for k in np.argsort(by_space[starts], kind="stable").tolist():
+        rows = by_space[bounds[k] : bounds[k + 1]]
+        blocks[int(grouped[bounds[k]])] = _Block(point_user[rows], rows)
+    empty = _Block(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    influence = blocks.pop(0, empty)
+    spaces = shared = None
+    if variant == "independent":
+        spaces = {int(sources[s - 1]): block for s, block in blocks.items()}
+    elif variant == "shared_susceptibility":
+        shared = blocks.pop(1, empty)
 
     half = 0.5 / dim
     coords = rng.uniform(-half, half, size=(len(at), dim))
-    return EmbeddingModel(dim, variant, coords, influence, spaces=spaces, shared_space=shared,
-                          tokens=tuple(table.tokens or ()))
+    return EmbeddingModel._from_blocks(dim, variant, coords, influence, spaces, shared,
+                                       tuple(table.tokens or ()))
 
 
 # -- serialization ---------------------------------------------------------
 
 
-def _pack_points(out: bytearray, model: EmbeddingModel, mapping: Mapping[int, int]):
-    out.extend(struct.pack("<I", len(mapping)))
-    for user, row in mapping.items():
-        out.extend(struct.pack("<I", user))
-        out.extend(np.asarray(model.coords[row], dtype="<f8").tobytes())
+def _point_dtype(dim: int) -> np.dtype:
+    """One point record of the file: u32 user id, then dim float64 coords."""
+    return np.dtype([("id", "<u4"), ("x", "<f8", (dim,))])
+
+
+def _check_savable(ids: np.ndarray):
+    if len(ids) and (ids.min() < 0 or ids.max() > 0xFFFFFFFF):
+        raise ModelError("user ids must fit in an unsigned 32-bit integer to be saved")
+
+
+def _pack_points(out: bytearray, model: EmbeddingModel, block: _Block):
+    out.extend(_U32.pack(len(block.ids)))
+    if not len(block.ids):
+        return
+    _check_savable(block.ids)
+    records = np.empty(len(block.ids), dtype=_point_dtype(model.dimension))
+    records["id"] = block.ids
+    records["x"] = model.coords[block.rows]
+    out.extend(records.tobytes())
 
 
 def save_model(model: EmbeddingModel) -> bytes:
     """Serialize a model to its binary format (coordinates bit-exact)."""
     out = bytearray()
     out.extend(_MAGIC)
-    out.extend(struct.pack("<I", _VERSION))
-    out.extend(struct.pack("<I", model.dimension))
-    out.extend(struct.pack("<B", _VARIANT_TAGS[model.variant]))
-    out.extend(struct.pack("<I", len(model.tokens)))
+    out.extend(struct.pack("<IIB", _VERSION, model.dimension, _VARIANT_TAGS[model.variant]))
+    out.extend(_U32.pack(len(model.tokens)))
     for tok in model.tokens:
         data = tok.encode("utf-8")
-        out.extend(struct.pack("<I", len(data)))
+        out.extend(_U32.pack(len(data)))
         out.extend(data)
-    _pack_points(out, model, model._influence)
+    _pack_points(out, model, model._influence_block)
     if model.variant == "independent":
-        out.extend(struct.pack("<I", len(model._spaces)))
-        for source, space in model._spaces.items():
-            out.extend(struct.pack("<I", source))
-            _pack_points(out, model, space)
+        out.extend(_U32.pack(len(model._space_blocks)))
+        _check_savable(np.fromiter(model._space_blocks, np.int64, len(model._space_blocks)))
+        for source, block in model._space_blocks.items():
+            out.extend(_U32.pack(source))
+            _pack_points(out, model, block)
     elif model.variant == "shared_susceptibility":
-        _pack_points(out, model, model._shared)
+        _pack_points(out, model, model._shared_block)
     return bytes(out)
 
 
@@ -321,36 +444,82 @@ class _Reader:
         return self.take(1)[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return _U32.unpack(self.take(4))[0]
 
 
-def _read_id(reader: _Reader, seen: Mapping[int, object], id_limit: int | None) -> int:
-    """Read one u32 user id, rejecting a repeat within its block and, when
-    the model has a token table, an id past its end."""
-    offset = reader.offset
-    user = reader.u32()
-    if user in seen:
-        raise ModelFormatError(f"id {user} repeats within its block", offset)
-    if id_limit is not None and user >= id_limit:
-        raise ModelFormatError(f"id {user} is past the token table of {id_limit}", offset)
-    return user
-
-
-def _read_points(
-    reader: _Reader, dim: int, coords: list[np.ndarray], starts: list[int],
-    id_limit: int | None,
-) -> dict[int, int]:
-    """Read one point block, appending each point's coordinates to `coords`
-    and their byte offset to `starts`."""
+def _read_tokens(reader: _Reader) -> list[str]:
+    """Read the token table, rejecting truncation, invalid UTF-8 and a
+    repeated token, each at the offset of the first field it spoils."""
     count = reader.u32()
-    mapping: dict[int, int] = {}
+    data, offset, size = reader.data, reader.offset, len(reader.data)
+    unpack = _U32.unpack_from
+    tokens: list[str] = []
+    seen: set[str] = set()
     for _ in range(count):
-        user = _read_id(reader, mapping, id_limit)
-        starts.append(reader.offset)
-        values = np.frombuffer(reader.take(8 * dim), dtype="<f8").astype(np.float64)
-        mapping[user] = len(coords)
-        coords.append(values)
-    return mapping
+        if offset + 4 > size:
+            raise ModelFormatError("truncated model data", offset)
+        start = offset + 4
+        end = start + unpack(data, offset)[0]
+        if end > size:
+            raise ModelFormatError("truncated model data", start)
+        try:
+            token = data[start:end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelFormatError("token is not valid UTF-8", start)
+        if token in seen:
+            raise ModelFormatError(f"token {token!r} repeats", offset)
+        seen.add(token)
+        tokens.append(token)
+        offset = end
+    reader.offset = offset
+    return tokens
+
+
+def _check_ids(ids: np.ndarray, offset_of, id_limit: int | None):
+    """Reject an id that repeats within its block or, when the model has a
+    token table, lies past its end; the first bad point in block order is
+    reported, at the offset `offset_of(index)`."""
+    ordered = np.sort(ids)
+    repeats = bool((ordered[1:] == ordered[:-1]).any())
+    past = id_limit is not None and len(ids) and ordered[-1] >= id_limit
+    if not (repeats or past):
+        return
+    first_repeat = first_past = len(ids)
+    if repeats:  # a stable sort lists each id's later occurrences after its first
+        order = np.argsort(ids, kind="stable")
+        first_repeat = int(order[1:][ordered[1:] == ordered[:-1]].min())
+    if past:
+        first_past = int(np.argmax(ids >= id_limit))
+    if first_repeat <= first_past:
+        user = int(ids[first_repeat])
+        raise ModelFormatError(f"id {user} repeats within its block", offset_of(first_repeat))
+    user = int(ids[first_past])
+    raise ModelFormatError(f"id {user} is past the token table of {id_limit}",
+                           offset_of(first_past))
+
+
+def _read_points(reader: _Reader, dim: int, id_limit: int | None, parts: list) -> _Block:
+    """Read one point block with one structured read. Its coordinates join
+    `parts` as (byte offset of its first point, its first row, (count, dim)
+    array); its rows continue from the points read before it."""
+    count = reader.u32()
+    start = reader.offset
+    record = 4 + 8 * dim
+    fits = (len(reader.data) - start) // record
+    if count > fits:
+        raise ModelFormatError("truncated model data", start + fits * record)
+    first_row = parts[-1][1] + len(parts[-1][2]) if parts else 0
+    rows = np.arange(first_row, first_row + count, dtype=np.int64)
+    if not count:
+        return _Block(np.empty(0, dtype=np.int64), rows)
+    if record > np.iinfo(np.int32).max:
+        raise ModelFormatError(f"dimension {dim} is too large", 8)
+    points = np.frombuffer(reader.data, dtype=_point_dtype(dim), count=count, offset=start)
+    ids = points["id"].astype(np.int64)
+    _check_ids(ids, lambda k: start + k * record, id_limit)
+    parts.append((start, first_row, points["x"]))
+    reader.offset = start + count * record
+    return _Block(ids, rows)
 
 
 def load_model(data: bytes) -> EmbeddingModel:
@@ -362,59 +531,46 @@ def load_model(data: bytes) -> EmbeddingModel:
     if version != _VERSION:
         raise ModelFormatError(f"unsupported format version {version}", 4)
     dim = reader.u32()
+    if dim < 1:
+        raise ModelFormatError(f"dimension must be at least 1, got {dim}", 8)
     tag_offset = reader.offset
     tag = reader.u8()
     if tag >= len(VARIANTS):
         raise ModelFormatError(f"unknown variant tag {tag}", tag_offset)
     variant = VARIANTS[tag]
-    tokens: list[str] = []
-    seen: set[str] = set()
-    for _ in range(reader.u32()):
-        length_offset = reader.offset
-        length = reader.u32()
-        raw = reader.take(length)
-        try:
-            token = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ModelFormatError("token is not valid UTF-8", reader.offset - length)
-        if token in seen:
-            raise ModelFormatError(f"token {token!r} repeats", length_offset)
-        seen.add(token)
-        tokens.append(token)
-    coords: list[np.ndarray] = []
-    starts: list[int] = []
+    tokens = _read_tokens(reader)
     id_limit = len(tokens) if tokens else None
-    influence = _read_points(reader, dim, coords, starts, id_limit)
-    spaces: dict[int, dict[int, int]] | None = None
-    shared: dict[int, int] | None = None
+    parts: list[tuple[int, int, np.ndarray]] = []
+    influence = _read_points(reader, dim, id_limit, parts)
+    spaces: dict[int, _Block] | None = None
+    shared: _Block | None = None
     if variant == "independent":
         spaces = {}
         for _ in range(reader.u32()):
-            source = _read_id(reader, spaces, id_limit)
-            spaces[source] = _read_points(reader, dim, coords, starts, id_limit)
+            offset = reader.offset
+            source = reader.u32()
+            if source in spaces:
+                raise ModelFormatError(f"id {source} repeats within its block", offset)
+            if id_limit is not None and source >= id_limit:
+                raise ModelFormatError(
+                    f"id {source} is past the token table of {id_limit}", offset
+                )
+            spaces[source] = _read_points(reader, dim, id_limit, parts)
     elif variant == "shared_susceptibility":
-        shared = _read_points(reader, dim, coords, starts, id_limit)
+        shared = _read_points(reader, dim, id_limit, parts)
     if reader.offset != len(reader.data):
         raise ModelFormatError("trailing bytes after model", reader.offset)
-    packed = np.array(coords) if coords else np.zeros((0, dim))
-    # Rows follow file order, so the first non-finite value in row-major
-    # order is the first in the file.
-    bad = np.flatnonzero(~np.isfinite(packed))
-    if bad.size:
-        row, col = divmod(int(bad[0]), dim)
-        raise ModelFormatError("coordinates must be finite", starts[row] + 8 * col)
-    try:
-        return EmbeddingModel(
-            dim,
-            variant,
-            packed,
-            influence,
-            spaces=spaces,
-            shared_space=shared,
-            tokens=tuple(tokens),
-        )
-    except ModelError as exc:
-        raise ModelFormatError(str(exc), reader.offset)
+    coords = (np.concatenate([x for _, _, x in parts]) if parts
+              else np.zeros((0, dim))).astype(np.float64, copy=False)
+    if not np.isfinite(coords).all():
+        # Rows follow file order, so the first non-finite value in row-major
+        # order is the first in the file.
+        row, col = divmod(int(np.flatnonzero(~np.isfinite(coords))[0]), dim)
+        start, first, _ = next(part for part in reversed(parts) if part[1] <= row)
+        raise ModelFormatError("coordinates must be finite",
+                               start + (row - first) * (4 + 8 * dim) + 4 + 8 * col)
+    return EmbeddingModel._from_blocks(dim, variant, coords, influence, spaces, shared,
+                                       tuple(tokens))
 
 
 def save_model_file(model: EmbeddingModel, path) -> None:

@@ -169,12 +169,8 @@ def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
     users = np.concatenate([table.earlier, table.later])
     base = int(users.max(initial=0)) + 1
     pairs, pair_at = np.unique(np.tile(source_at, 2) * base + users, return_inverse=True)
-    sources, influence = sources.tolist(), model._influence
-    resolved = [
-        (influence.get(sources[s], -1), (model.space_of(sources[s]) or {}).get(u, -1))
-        for s, u in (divmod(pair, base) for pair in pairs.tolist())
-    ]
-    x, y = np.array(resolved, dtype=np.int64).reshape(-1, 2)[pair_at].T
+    pair_source, pair_user = np.divmod(pairs, base)
+    x, y = (rows[pair_at] for rows in model._slot_rows(sources[pair_source], pair_user))
     missing = ((x < 0) | (y < 0)).reshape(2, n).any(axis=0)
     if missing.any():
         i = missing.argmax()

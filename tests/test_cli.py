@@ -11,6 +11,7 @@ import casembed.cli as cli
 import casembed.training as training
 from casembed.combinations import build_table
 from casembed.data import load_cascade_file
+from casembed.evaluate import evaluate
 from casembed.model import init_model, load_model_file, save_model
 from casembed.training import TrainConfig
 
@@ -246,10 +247,12 @@ class TestEval:
         tsv_aps = {l.split("\t")[0]: float(l.split("\t")[1]) for l in tsv_lines[:-1]}
         assert json_aps == tsv_aps
         summary = json.loads(json_lines[-1])
+        report = evaluate(load_model_file(model_path), load_cascade_file(test_path))
         for out in (json_out, tsv_out):
             stats = json.loads(Path(str(out) + ".manifest.json").read_text())["stats"]
-            assert stats == {key: summary[key] for key in
-                             ("map", "cascades", "unknown_sources", "unseen")}
+            assert stats == {**{key: summary[key] for key in
+                                ("map", "cascades", "unknown_sources", "unseen")},
+                             "chance_map": report.chance_map}
 
     def test_report_to_stdout_without_out(self, trained, capsys):
         model_path, test_path = trained

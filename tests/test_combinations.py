@@ -309,6 +309,15 @@ class TestColumnarTable:
         with pytest.raises(ValueError, match="avg_margin"):
             CombinationTable(entries, table.mode)
 
+    def test_repeats_found_when_ids_span_int64(self):
+        # id ranges whose product overflows int64 cannot share one dense key
+        big = np.iinfo(np.int64).max
+        rows = [(-big, 0, big, 1, 0.5), (big, -big, 0, 1, 0.5), (0, big, -big, 1, 0.5)]
+        table = CombinationTable(np.array(rows, dtype=ENTRY), "full")
+        assert [c.key for c in table] == [r[:3] for r in rows]
+        with pytest.raises(ValueError, match=rf"\({big}, {-big}, 0\) occurs twice"):
+            CombinationTable(np.array(rows + rows[1:2], dtype=ENTRY), "full")
+
     def test_array_rows_checked_like_entries(self):
         def rows(*entries):
             return np.array(list(entries), dtype=ENTRY)

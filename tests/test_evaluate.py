@@ -1,19 +1,24 @@
+import itertools
 import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casembed.data import Cascade, CascadeDataset
 from casembed.evaluate import (
     RankedPrediction,
+    _chance_ap,
+    _prefix_ap,
     average_precision,
     evaluate,
     rank_for_source,
     report_json_lines,
     report_tsv,
 )
-from casembed.model import EmbeddingModel, ModelError
+from casembed.model import VARIANTS, EmbeddingModel, ModelError
 from casembed.synthetic import emit_cascades, generate_world
 from casembed.training import TrainConfig, train
 
@@ -262,3 +267,105 @@ class TestReports:
             assert int(cells[2]) == obj["candidates"]
             assert int(cells[3]) == obj["unseen"]
         assert float(tsv_lines[-1].split("\t")[1]) == report.map
+
+
+@st.composite
+def _tied_models(draw):
+    """Models of every variant over users 0..7 whose coordinates come from a
+    few values, so distances tie and points coincide."""
+    variant = draw(st.sampled_from(VARIANTS))
+    dimension = draw(st.integers(1, 3))
+    block = st.lists(st.integers(0, 7), max_size=7, unique=True)
+    influence = draw(block.filter(bool))
+    spaces = shared = None
+    points = list(influence)
+    if variant == "independent":
+        sources = draw(st.lists(st.sampled_from(influence), unique=True))
+        spaces = {s: draw(block) for s in sources}
+        for space in spaces.values():
+            points += space
+    elif variant == "shared_susceptibility":
+        shared = draw(block)
+        points += shared
+    values = st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0, 3.0, 1e-300])
+    coords = np.array(draw(st.lists(st.lists(values, min_size=dimension, max_size=dimension),
+                                    min_size=len(points), max_size=len(points))), dtype=float)
+    rows = iter(range(len(points)))
+    influence = {u: next(rows) for u in influence}
+    if spaces is not None:
+        spaces = {s: {u: next(rows) for u in users} for s, users in spaces.items()}
+    if shared is not None:
+        shared = {u: next(rows) for u in shared}
+    return EmbeddingModel(dimension, variant, coords.reshape(len(points), dimension),
+                          influence, spaces=spaces, shared_space=shared)
+
+
+class TestAgainstReferences:
+    """Ranking and position-map scoring against their scalar references."""
+
+    @settings(max_examples=150)
+    @given(model=_tied_models())
+    def test_ranking_matches_sorted_scalar_distances(self, model):
+        for source in model.influence_users():
+            space = model.space_of(source) or {}
+            expected = sorted((u for u in space if u != source),
+                              key=lambda u: (model.distance_sq(source, u), u))
+            ranking = rank_for_source(model, source).ranking
+            assert [u for u, _ in ranking] == expected
+            for user, d2 in ranking:
+                assert d2.hex() == model.distance_sq(source, user).hex()
+
+    @settings(max_examples=150)
+    @given(model=_tied_models(), data=st.data())
+    def test_scores_match_prefix_ap_over_the_full_ranking(self, model, data):
+        # ids 8 and 9 are never embedded: unknown sources or unseen users
+        users = st.lists(st.integers(0, 9), min_size=2, max_size=6, unique=True)
+        cascades = [Cascade(f"c{k}", tuple(u)) for k, u in
+                    enumerate(data.draw(st.lists(users, min_size=1, max_size=6)))]
+        report = evaluate(model, CascadeDataset(cascades, [f"t{i}" for i in range(10)]))
+        for cascade, scored in zip(cascades, report.per_cascade):
+            if model.influence_point(cascade.source) is None:
+                assert (scored.ap, scored.candidate_count, scored.source_known) == (0.0, 0, False)
+                assert scored.unseen_count == cascade.num_infected
+                continue
+            ranked = [u for u, _ in rank_for_source(model, cascade.source).ranking]
+            truth = set(cascade.infected)
+            assert scored.ap == _prefix_ap(ranked, truth, cascade.num_infected)
+            assert scored.candidate_count == len(ranked)
+            assert scored.unseen_count == cascade.num_infected - len(truth & set(ranked))
+
+
+def _enumerated_chance_ap(found, truth_total, candidates):
+    """Mean AP over every placement of `found` truth users among
+    `candidates` ranked positions (all rankings, grouped by placement)."""
+    aps = [
+        sum(hits / k for hits, k in enumerate(placement, start=1)) / truth_total
+        for placement in itertools.combinations(range(1, candidates + 1), found)
+    ]
+    return sum(aps) / len(aps)
+
+
+class TestChanceMap:
+    @pytest.mark.parametrize("candidates", range(0, 7))
+    def test_matches_enumeration_of_all_rankings(self, candidates):
+        harmonic = sum(1 / k for k in range(1, candidates + 1))
+        for truth_total in range(1, candidates + 3):
+            for found in range(0, min(truth_total, candidates) + 1):
+                expected = _enumerated_chance_ap(found, truth_total, candidates)
+                got = _chance_ap(found, truth_total, candidates, harmonic)
+                assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_report_mean_over_cascades(self):
+        # four candidates; c1 finds 2 of 2 truth users, c2 finds 1 of 2,
+        # and the unknown source of c3 scores 0
+        model = _model([0.0], {1: [1.0], 2: [2.0], 3: [3.0], 4: [4.0]},
+                       tokens=("s", "a", "b", "c", "d"))
+        test_set = CascadeDataset.from_token_rows(
+            [("c1", ["s", "a", "d"]), ("c2", ["s", "b", "ghost"]), ("c3", ["ghost", "a"])]
+        )
+        report = evaluate(model, test_set)
+        expected = [_enumerated_chance_ap(2, 2, 4), _enumerated_chance_ap(1, 2, 4), 0.0]
+        assert [s.chance_ap for s in report.per_cascade] == pytest.approx(expected, rel=1e-12)
+        assert report.chance_map == pytest.approx(sum(expected) / 3, rel=1e-12)
+        h4 = 1 + 1 / 2 + 1 / 3 + 1 / 4
+        assert expected[0] == pytest.approx((1 / 3 * (4 - h4) + h4) / 4, rel=1e-12)

@@ -397,3 +397,49 @@ def test_construction_validates_rows_and_finiteness():
         EmbeddingModel(2, "imaginary", np.zeros((0, 2)), {})
     with pytest.raises(ModelError, match="duplicate tokens"):
         EmbeddingModel(2, "single_space", np.zeros((0, 2)), {}, tokens=("a", "b", "a"))
+
+
+class TestDimensionField:
+    def _blob(self, dim, points=1):
+        model = EmbeddingModel(2, "single_space", np.zeros((points, 2)),
+                               {u: u for u in range(points)})
+        blob = bytearray(save_model(model))
+        blob[8:12] = dim.to_bytes(4, "little")
+        return bytes(blob)
+
+    def test_zero_dimension_rejected_at_its_field(self):
+        with pytest.raises(ModelFormatError, match="dimension must be at least 1") as err:
+            load_model(self._blob(0))
+        assert err.value.offset == 8
+
+    @pytest.mark.parametrize("dim", [2**28, 2**31, 2**32 - 1])
+    def test_hostile_dimension_is_a_format_error(self, dim):
+        blob = self._blob(dim)
+        with pytest.raises(ModelFormatError, match="truncated") as err:
+            load_model(blob)
+        # header, empty token table, influence count: the first point
+        assert err.value.offset == 13 + 4 + 4
+
+    def test_count_past_the_remaining_bytes_is_truncation(self):
+        model = EmbeddingModel(
+            1, "independent", np.zeros((4, 1)), {0: 0, 1: 1}, spaces={0: {5: 2}, 1: {5: 3}}
+        )
+        blob = bytearray(save_model(model))
+        count = 13 + 4  # header, empty token table: the influence count
+        blob[count : count + 4] = (2**32 - 1).to_bytes(4, "little")
+        # 12-byte points: as many as the rest of the file holds, then the cut
+        fits = (len(blob) - count - 4) // 12
+        with pytest.raises(ModelFormatError, match="truncated") as err:
+            load_model(bytes(blob))
+        assert err.value.offset == count + 4 + 12 * fits
+
+
+@pytest.mark.parametrize("user", [-1, 2**32])
+def test_unsavable_id_rejected(user):
+    models = (
+        EmbeddingModel(1, "single_space", np.zeros((1, 1)), {user: 0}),
+        EmbeddingModel(1, "independent", np.zeros((2, 1)), {0: 0}, spaces={user: {1: 1}}),
+    )
+    for model in models:
+        with pytest.raises(ModelError, match="32-bit"):
+            save_model(model)

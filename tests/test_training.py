@@ -311,6 +311,27 @@ class TestReferenceEquivalence:
                 saw_partial |= 0 < active < len(table)
         assert saw_partial  # the runs exercise both active and satisfied combinations
 
+    @pytest.mark.parametrize("variant", ["independent", "shared_susceptibility", "single_space"])
+    def test_pack_resolves_rows_like_the_dict_views(self, variant):
+        rng = np.random.default_rng(5)
+        table = _random_table(rng, users=9, size=40)
+        cfg = TrainConfig(epochs=0, dimension=2, variant=variant)
+        model = init_model(table, cfg, rng)
+        packed = _pack_table(model, table)
+        for n, combo in enumerate(table):
+            x, space = model._influence[combo.source], model.space_of(combo.source)
+            for slot, user in ((packed.earlier_slot[n], combo.earlier),
+                               (packed.later_slot[n], combo.later)):
+                assert (packed.slot_x[slot], packed.slot_y[slot]) == (x, space[user])
+
+    def test_source_without_a_space_is_unallocated(self):
+        coords = np.zeros((4, 2))
+        model = EmbeddingModel(2, "independent", coords, {0: 0, 3: 3}, spaces={0: {1: 1, 2: 2}})
+        table = CombinationTable([Combination(0, 1, 2, 1, 1.0), Combination(3, 1, 2, 1, 1.0)],
+                                 mode="full")
+        with pytest.raises(ModelError, match=r"combination \(3, 1, 2\)"):
+            _pack_table(model, table)
+
     def test_single_space_aliases_influence_and_susceptibility_rows(self):
         # user 1 is source 0's earlier user and the source of another
         # combination, so one row is an influence and a susceptibility row
