@@ -13,6 +13,9 @@ a tie drops both (keeping both would impose contradictory constraints).
 
 A CombinationTable keeps its entries as parallel numpy columns, which
 `build_table` fills directly; `Combination` views are made only on demand.
+It also numbers the distinct (source, user) pairs its combinations read,
+the identity of a point in a source's susceptibility space; `build_table`
+hands over the numbering it merges triples with.
 """
 
 from __future__ import annotations
@@ -108,6 +111,12 @@ class CombinationTable:
     `Combination` views; lookups use a key index built on first use.
     `tokens` is carried over from the originating dataset so models built
     from the table can resolve user tokens later.
+
+    The table also numbers its distinct (source, user) pairs densely, in
+    (source, user) order: pair p is (`pair_source[p]`, `pair_user[p]`), and
+    combination n reads pairs `earlier_pair[n]` and `later_pair[n]`. Only
+    pairs some combination reads are numbered. `build_table` hands the
+    numbering over; a table built from entries computes it on first use.
     """
 
     def __init__(
@@ -116,12 +125,26 @@ class CombinationTable:
         mode: str,
         tokens: Iterable[str] | None = None,
     ):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if not isinstance(entries, np.ndarray):
             entries = [(c.source, c.earlier, c.later, c.count, c.avg_margin) for c in entries]
         rows = np.asarray(entries, dtype=ENTRY)
-        columns = [rows[name].copy() for name in ENTRY.names]
+        self._set_columns([rows[name].copy() for name in ENTRY.names], mode, tokens)
+
+    @classmethod
+    def _from_columns(cls, columns, mode, tokens, pairs) -> CombinationTable:
+        """A table over `columns` (of `ENTRY`'s dtypes, owned by the table)
+        with its pair numbering (pair_source, pair_user, earlier_pair,
+        later_pair) already computed."""
+        table = cls.__new__(cls)
+        table._set_columns(columns, mode, tokens)
+        for column in pairs:
+            column.flags.writeable = False
+        table._pairs = pairs
+        return table
+
+    def _set_columns(self, columns: list[np.ndarray], mode: str, tokens) -> None:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         for column in columns:
             column.flags.writeable = False
         self.source, self.earlier, self.later, self.count, self.avg_margin = columns
@@ -131,16 +154,58 @@ class CombinationTable:
         bad = (self.earlier == self.later) | (self.source == self.earlier)
         bad |= (self.source == self.later) | (self.count < 1) | ~(self.avg_margin > 0)
         if bad.any():
-            Combination(*rows[np.argmax(bad)].item())  # raises, naming the broken invariant
+            # raises, naming the broken invariant
+            Combination(*(c[np.argmax(bad)].item() for c in columns))
         key = _dense_key(columns[:3])
         if key is None:  # the id ranges overflow int64: compare the columns
             order = np.lexsort(columns[2::-1])  # by source, then earlier, then later
             repeat = (np.diff(np.stack(columns[:3])[:, order]) == 0).all(axis=0)
+            if repeat.any():
+                self._repeated(order[1:][repeat][0])
         else:
-            order = np.argsort(key)
-            repeat = np.diff(key[order]) == 0
-        if repeat.any():
-            raise ValueError(f"combination {rows[order[1:][repeat][0]].item()[:3]} occurs twice")
+            ordered = np.sort(key)
+            repeat = ordered[1:] == ordered[:-1]
+            if repeat.any():
+                self._repeated(np.argmax(key == ordered[1:][repeat][0]))
+
+    def _repeated(self, n):
+        key = tuple(c[n].item() for c in self._columns[:3])
+        raise ValueError(f"combination {key} occurs twice")
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        sources = np.concatenate([self.source, self.source])
+        users = np.concatenate([self.earlier, self.later])
+        key = _dense_key([sources, users])
+        if key is None:  # the id ranges overflow int64: compare the columns
+            key = np.stack([sources, users], axis=1)
+            _, at = np.unique(key, axis=0, return_inverse=True)
+        else:
+            _, at = np.unique(key, return_inverse=True)
+        # Any occurrence of a pair names it: every occurrence holds the same ids.
+        occurrence = np.empty(int(at.max(initial=-1)) + 1, dtype=np.intp)
+        occurrence[at] = np.arange(len(at))
+        n = len(self)
+        pairs = sources[occurrence], users[occurrence], at[:n], at[n:]
+        for column in pairs:
+            column.flags.writeable = False
+        return pairs
+
+    @property
+    def pair_source(self) -> np.ndarray:
+        return self._pairs[0]
+
+    @property
+    def pair_user(self) -> np.ndarray:
+        return self._pairs[1]
+
+    @property
+    def earlier_pair(self) -> np.ndarray:
+        return self._pairs[2]
+
+    @property
+    def later_pair(self) -> np.ndarray:
+        return self._pairs[3]
 
     @cached_property
     def _rows(self) -> dict[Key, int]:
@@ -240,7 +305,7 @@ def build_table(
     # key (pair of source and earlier user, later user) fits in int64.
     base = int(flat.max()) + 1
     cascade_source = np.repeat(flat[starts], np.diff(starts, append=len(flat)))
-    _, pair = np.unique(cascade_source * base + flat, return_inverse=True)
+    pair_keys, pair = np.unique(cascade_source * base + flat, return_inverse=True)
     # position in `flat` of each triple's source; its infected users follow
     start = np.repeat(starts, [len(m) for m in margin_parts])
     at_earlier = start + 1 + np.concatenate(earlier_parts)
@@ -261,7 +326,15 @@ def build_table(
     kept = kept[np.argsort(first[kept])]
     rows = first[kept]
     columns = [flat[start[rows]], earlier[rows], later[rows], counts[kept], means[kept]]
-    return CombinationTable(np.rec.fromarrays(columns, dtype=ENTRY), mode=mode, tokens=tokens)
+    # Renumber the pairs kept rows read, keeping their (source, user) order.
+    earlier_pair, later_pair = pair[at_earlier[rows]], pair[at_later[rows]]
+    used = np.zeros(len(pair_keys), dtype=bool)
+    used[earlier_pair] = True
+    used[later_pair] = True
+    renumber = np.cumsum(used) - 1
+    pair_source, pair_user = np.divmod(pair_keys[used], base)
+    pairs = (pair_source, pair_user, renumber[earlier_pair], renumber[later_pair])
+    return CombinationTable._from_columns(columns, mode, tokens, pairs)
 
 
 def dump_table_tsv(table: CombinationTable, stream: IO[str]) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import os
-import tempfile
+import stat
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -233,8 +233,29 @@ def load_cascade_file(path) -> CascadeDataset:
 def _atomic_write(path, data: bytes) -> None:
     """Write `data` to `path` through a temp file in the same directory and
     an `os.replace`: readers see the old file or the new one, and a failure
-    leaves the old file and no temp file behind."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.fspath(path)) or ".", suffix=".tmp")
+    leaves the old file and no temp file behind. The new file gets the mode
+    `open` would give it (0666 less the umask). A symlink is followed, so the
+    link survives and its target is replaced; an existing target that is not
+    a regular file (a device, a FIFO) is written in place."""
+    path = os.path.realpath(path)
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return
+    directory, name = os.path.split(path)
+    for _ in range(100):
+        tmp = os.path.join(directory, f"{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # the name is taken: draw another
+            continue
+    else:
+        raise FileExistsError(f"no free temp file name beside {path}")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

@@ -340,6 +340,11 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
     [-0.5/D, 0.5/D]; the small symmetric range keeps initial distance gaps
     near zero so most hinges start active. `config` only needs `dimension`
     and `variant` attributes.
+
+    `table` must carry `CombinationTable`'s pair numbering, which
+    `build_table` hands over and a table built from entries computes on
+    first use. Allocation then sorts only the table's sources and pairs,
+    never its combinations.
     """
     dim = config.dimension
     variant = config.variant
@@ -350,21 +355,35 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
 
     # Combinations read their source's influence point, then the earlier and
     # later users' susceptibility points; rows follow first appearance in that
-    # sequence. Space 0 holds influence points; in independent models source
-    # k (in id order) owns space k + 1. Keys fit int64 for u32 (savable) ids.
-    sources, source_at = np.unique(table.source, return_inverse=True)
-    space = np.zeros((len(table), 3), dtype=np.int64)
+    # sequence, at positions 3n, 3n + 1 and 3n + 2 for combination n. The
+    # table's pair numbering names the (source, user) pairs read, so first
+    # appearances come from a scatter-min per source and per pair, and only
+    # the S + P candidate points are sorted. Space 0 holds influence points;
+    # in independent models source k (in id order) owns space k + 1. Keys fit
+    # int64 for u32 (savable) ids.
+    n = len(table)
+    sources, pair_space = np.unique(table.pair_source, return_inverse=True)
+    position = np.arange(0, 3 * n, 3)
+    first = np.full(len(sources) + len(pair_space), 3 * n)
+    pair_first = first[len(sources):]
+    np.minimum.at(first, pair_space[table.earlier_pair], position)
+    np.minimum.at(pair_first, table.earlier_pair, position + 1)
+    np.minimum.at(pair_first, table.later_pair, position + 2)
+    space = np.zeros(len(first), dtype=np.int64)
     if variant != "single_space":
-        space[:, 1:] = 1 + source_at[:, None] if variant == "independent" else 1
-    space, users = space.ravel(), np.stack([table.source, table.earlier, table.later], 1).ravel()
-    at = np.sort(_unique_first(space * (int(users.max(initial=0)) + 1) + users)[1])
-    point_space, point_user = space[at], users[at]
+        space[len(sources):] = 1 + pair_space if variant == "independent" else 1
+    users = np.concatenate([sources, table.pair_user])
+    base = int(users.max(initial=0)) + 1
+    keys, at = np.unique(space * base + users, return_inverse=True)
+    point_first = np.full(len(keys), 3 * n)
+    np.minimum.at(point_first, at, first)  # a single_space user point may also be a source's
+    point_space, point_user = np.divmod(keys[np.argsort(point_first)], base)
     # Group rows by space, ascending within each; a block's order is its rows'
     # order, and blocks follow their first rows.
     by_space = np.argsort(point_space, kind="stable")
     grouped = point_space[by_space]
     starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-    bounds = np.append(starts, len(at))
+    bounds = np.append(starts, len(keys))
     blocks = {}
     for k in np.argsort(by_space[starts], kind="stable").tolist():
         rows = by_space[bounds[k] : bounds[k + 1]]
@@ -378,7 +397,7 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
         shared = blocks.pop(1, empty)
 
     half = 0.5 / dim
-    coords = rng.uniform(-half, half, size=(len(at), dim))
+    coords = rng.uniform(-half, half, size=(len(keys), dim))
     return EmbeddingModel._from_blocks(dim, variant, coords, influence, spaces, shared,
                                        tuple(table.tokens or ()))
 

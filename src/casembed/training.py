@@ -14,9 +14,11 @@ slot; a table of N combinations touches S distinct slots, and S is far
 smaller than N. An epoch computes the S squared distances, gathers the N
 gaps from them, counts how often each slot serves as an active earlier or
 later distance, and scatters one weighted difference per slot. That costs
-O(N + S·D) instead of O(N·D). The slot index is built once per `train` from
-the table's columns with array work; model rows are looked up once per
-distinct (source, user) pair, never once per combination.
+O(N + S·D) instead of O(N·D). The slot index is built once per `train`
+from the table's pair numbering (see `CombinationTable`), which
+`build_table` computes while merging triples: model rows are looked up and
+slots numbered once per distinct (source, user) pair, and each combination
+only gathers its two pairs' slots.
 
 Divergence raises ValueError naming the epoch. Every epoch checks the
 distances it starts from, and train and run_epoch check the coordinates the
@@ -162,32 +164,31 @@ class _PackedTable:
 
 
 def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
-    # Rows are resolved once per distinct (source, user) pair; combinations
-    # read their earlier users' pairs, then their later users'.
-    n = len(table)
-    sources, source_at = np.unique(table.source, return_inverse=True)
-    users = np.concatenate([table.earlier, table.later])
-    base = int(users.max(initial=0)) + 1
-    pairs, pair_at = np.unique(np.tile(source_at, 2) * base + users, return_inverse=True)
-    pair_source, pair_user = np.divmod(pairs, base)
-    x, y = (rows[pair_at] for rows in model._slot_rows(sources[pair_source], pair_user))
-    missing = ((x < 0) | (y < 0)).reshape(2, n).any(axis=0)
+    """Resolve the table to `model`'s slots, for any model holding its rows.
+
+    Works per pair of the table's pair numbering (`build_table` hands it
+    over; a table built from entries computes it on first use): the model's
+    rows are looked up and slots numbered by sorting the P pair keys once,
+    and each combination gathers the slots of its earlier and later pairs.
+    Nothing of length N is sorted.
+    """
+    x, y = model._slot_rows(table.pair_source, table.pair_user)
+    missing = (x < 0) | (y < 0)
     if missing.any():
-        i = missing.argmax()
+        i = (missing[table.earlier_pair] | missing[table.later_pair]).argmax()
         key = (table.source[i].item(), table.earlier[i].item(), table.later[i].item())
         raise ModelError(f"combination {key} has unallocated coordinates")
     margins = table.avg_margin
     points = np.int64(model.num_points)
-    keys = x * points + y
-    slots, inverse = np.unique(keys, return_inverse=True)
+    slots, slot_of_pair = np.unique(x * points + y, return_inverse=True)
     slot_x, slot_y = slots // points, slots % points
     dim = model.dimension
     rows = np.concatenate([slot_x, slot_y])
     return _PackedTable(
         slot_x,
         slot_y,
-        inverse[:n],
-        inverse[n:],
+        slot_of_pair[table.earlier_pair],
+        slot_of_pair[table.later_pair],
         margins,
         rows,
         (rows[:, None] * dim + np.arange(dim)).ravel(),

@@ -10,9 +10,9 @@ import pytest
 import casembed.cli as cli
 import casembed.training as training
 from casembed.combinations import build_table
-from casembed.data import load_cascade_file
+from casembed.data import load_cascade_file, save_cascade_file
 from casembed.evaluate import evaluate
-from casembed.model import init_model, load_model_file, save_model
+from casembed.model import init_model, load_model_file, save_model, save_model_file
 from casembed.training import TrainConfig
 
 
@@ -52,6 +52,30 @@ class TestSynth:
     def test_invalid_counts_exit_2(self, tmp_path):
         assert run("synth", "--out-dir", tmp_path, "--len", 50) == 2
         assert run("synth", "--out-dir", tmp_path, "--sources", 0) == 2
+
+
+def test_artifacts_follow_the_umask(tmp_path):
+    """Artifacts get the mode `open` would give them: 0644 under umask 022."""
+    old = os.umask(0o022)
+    try:
+        synth, split = tmp_path / "synth", tmp_path / "split"
+        assert run("synth", "--sources", 2, "--users-per-source", 6, "--dim", 2,
+                   "--cascades-per-source", 10, "--len", 4, "--out-dir", synth) == 0
+        assert run("split", "--input", synth / "synthetic.cascades", "--out-dir", split) == 0
+        assert run("train", "--train", split / "train.cascades", "--dim", 2, "--epochs", 1,
+                   "--model-out", tmp_path / "m.iaem", "--log", tmp_path / "m.log") == 0
+        assert run("eval", "--model", tmp_path / "m.iaem", "--test", split / "test.cascades",
+                   "--out", tmp_path / "report.jsonl") == 0
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        save_model_file(load_model_file(tmp_path / "m.iaem"), lib / "copy.iaem")
+        save_cascade_file(load_cascade_file(split / "test.cascades"), lib / "copy.cascades")
+    finally:
+        os.umask(old)
+    modes = {p.relative_to(tmp_path).as_posix(): oct(p.stat().st_mode & 0o777)
+             for p in tmp_path.rglob("*") if p.is_file()}
+    assert len(modes) == 13
+    assert set(modes.values()) == {"0o644"}, modes
 
 
 class TestSplit:

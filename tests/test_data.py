@@ -1,4 +1,6 @@
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -140,6 +142,56 @@ def test_rejected_save_keeps_the_old_file(tmp_path):
         save_cascade_file(unsavable, path)
     assert path.read_bytes() == SAMPLE.encode()
     assert [p.name for p in tmp_path.iterdir()] == ["old.cascades"]
+
+
+def test_failed_rename_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "old.cascades"
+    path.write_bytes(SAMPLE.encode())
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        save_cascade_file(parse_cascade_file("c2\ta b\n"), path)
+    assert path.read_bytes() == SAMPLE.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["old.cascades"]
+
+
+def test_save_through_a_symlink_replaces_its_target(tmp_path):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "real.cascades"
+    target.write_bytes(b"old\tx y\n")
+    link = tmp_path / "link.cascades"
+    link.symlink_to(target)
+    dataset = parse_cascade_file(SAMPLE)
+    save_cascade_file(dataset, link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == SAMPLE.encode()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.cascades",
+                                                          "real.cascades"]
+
+
+def test_save_through_a_symlink_to_a_device_writes_in_place(tmp_path):
+    link = tmp_path / "sink"
+    link.symlink_to("/dev/null")
+    save_cascade_file(parse_cascade_file(SAMPLE), link)
+    assert link.is_symlink() and os.readlink(link) == "/dev/null"
+    assert stat.S_ISCHR(os.stat(link).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["sink"]
+
+
+def test_save_to_a_fifo_writes_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open at once
+    try:
+        save_cascade_file(parse_cascade_file(SAMPLE), fifo)
+        assert os.read(reader, 1 << 16) == SAMPLE.encode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 def _contents(ds):

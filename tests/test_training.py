@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casembed.combinations import Combination, CombinationTable, build_table
 from casembed.data import CascadeDataset
-from casembed.model import EmbeddingModel, ModelError, init_model
+from casembed.model import VARIANTS, EmbeddingModel, ModelError, init_model, save_model
 from casembed.synthetic import emit_cascades, generate_world
 from casembed.training import (
     EpochStats,
     TrainConfig,
+    _PackedTable,
     _pack_table,
     accumulate_gradients,
     hinge_loss,
@@ -445,3 +448,62 @@ class TestTrain:
         cfg = TrainConfig(epochs=150, dimension=4, seed=5, variant=variant)
         _, history = train(dataset, cfg)
         assert history[-1].total_loss < history[0].total_loss
+
+
+# Cascades over a few users, so sources recur as other cascades' infected
+# users and (source, user) pairs recur across cascades.
+_cascade_rows = st.lists(
+    st.lists(st.integers(0, 7), min_size=2, max_size=6, unique=True), min_size=1, max_size=12
+)
+
+
+@pytest.mark.parametrize("mode", ["dominant", "full"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=40)
+@given(rows=_cascade_rows)
+@example(rows=[[0, 1, 2]])  # one combination, reading two pairs
+def test_build_table_pair_numbering_matches_entries(variant, mode, rows):
+    """A table from build_table and the same table rebuilt from its entries,
+    which numbers its pairs on first use, allocate and pack alike."""
+    dataset = CascadeDataset.from_token_rows(
+        (f"c{i}", [f"t{u}" for u in row]) for i, row in enumerate(rows)
+    )
+    built = build_table(dataset, mode=mode)
+    rebuilt = CombinationTable(list(built), mode=mode, tokens=built.tokens)
+    for name in ("pair_source", "pair_user", "earlier_pair", "later_pair"):
+        a, b = getattr(built, name), getattr(rebuilt, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    cfg = TrainConfig(epochs=1, dimension=3, variant=variant)
+    models = [init_model(t, cfg, np.random.default_rng(4)) for t in (built, rebuilt)]
+    assert save_model(models[0]) == save_model(models[1])
+    if not len(built):
+        return
+    packed = [_pack_table(model, t) for model, t in zip(models, (built, rebuilt))]
+    for name in _PackedTable.__dataclass_fields__:
+        a, b = (getattr(p, name) for p in packed)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_setup_sorts_only_pairs_and_sources(variant, monkeypatch):
+    """init_model and _pack_table on a build_table table sort nothing longer
+    than its distinct pairs plus its sources, however many combinations
+    read them."""
+    world = generate_world(3, 20, 2, seed=31)
+    table = build_table(emit_cascades(world, 40, 8, seed=32), mode="full")
+    bound = len(table.pair_source) + len(np.unique(table.source))
+    assert len(table) > 4 * bound
+    lengths = []
+    for name in ("unique", "argsort", "sort"):
+        def recording(a, *args, _sort=getattr(np, name), **kwargs):
+            lengths.append(np.size(a))
+            return _sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, recording)
+    model = init_model(table, TrainConfig(epochs=1, dimension=2, variant=variant),
+                       np.random.default_rng(0))
+    _pack_table(model, table)
+    assert lengths and max(lengths) <= bound
