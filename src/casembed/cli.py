@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -263,6 +264,17 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    """An option value that is a float, but neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casembed",
@@ -283,8 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--train", type=Path, required=True, help="training cascade file")
     tr.add_argument("--dim", type=int, default=75, help="latent dimension (default 75)")
     tr.add_argument("--epochs", type=int, required=True, help="maximum epochs")
-    tr.add_argument("--lr", type=float, default=0.01, help="learning rate (default 0.01)")
-    tr.add_argument("--mu", type=float, default=2.0, help="margin log base (default 2)")
+    tr.add_argument("--lr", type=_finite_float, default=0.01,
+                    help="learning rate (default 0.01)")
+    tr.add_argument("--mu", type=_finite_float, default=2.0,
+                    help="margin log base (default 2)")
     tr.add_argument("--sampling", choices=("dominant", "full"), default="dominant",
                     help="combination sampling mode (default dominant)")
     tr.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="independent",

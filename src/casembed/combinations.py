@@ -48,10 +48,16 @@ ENTRY = np.dtype(
 )
 
 
+def _check_mu(mu: float) -> None:
+    """The margin's log base must be a finite number above 1: log_mu of a
+    NaN or infinite base gives NaN or zero margins."""
+    if not (math.isfinite(mu) and mu > 1.0):
+        raise ValueError(f"mu must be finite and exceed 1, got {mu}")
+
+
 def critical_margin(t_earlier: int, t_later: int, mu: float = 2.0) -> float:
     """Penalty margin of an ordered pair with infection orders t_earlier < t_later."""
-    if mu <= 1.0:
-        raise ValueError(f"mu must exceed 1, got {mu}")
+    _check_mu(mu)
     if t_earlier < 1:
         raise ValueError(f"infection orders are 1-based, got t_earlier={t_earlier}")
     if t_later <= t_earlier:
@@ -278,6 +284,7 @@ def build_table(
     Entries keep the order in which their keys first occur, and margins are
     summed in cascade order.
     """
+    _check_mu(mu)
     tokens = getattr(dataset, "tokens", None)
     by_length: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     users: list[int] = []

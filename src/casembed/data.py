@@ -103,13 +103,14 @@ class CascadeDataset:
     def __init__(self, cascades: Iterable[Cascade], tokens: Sequence[str]):
         self._cascades = tuple(cascades)
         self._tokens = tuple(tokens)
-        if len(set(self._tokens)) != len(self._tokens):
-            raise CascadeValidationError("token table contains duplicate tokens")
         self._ids = {tok: i for i, tok in enumerate(self._tokens)}
-        self._users = frozenset(u for c in self._cascades for u in c.users)
-        for u in self._users:
-            if not 0 <= u < len(self._tokens):
-                raise CascadeValidationError(f"user id {u} has no token table entry")
+        if len(self._ids) != len(self._tokens):
+            raise CascadeValidationError("token table contains duplicate tokens")
+        self._users = frozenset().union(*(c.users for c in self._cascades))
+        low, high = min(self._users, default=0), max(self._users, default=-1)
+        if low < 0 or high >= len(self._tokens):
+            bad = low if low < 0 else high
+            raise CascadeValidationError(f"user id {bad} has no token table entry")
 
     @classmethod
     def from_token_rows(
@@ -118,19 +119,11 @@ class CascadeDataset:
         """Build a dataset from (cascade_id, token sequence) rows, interning
         tokens in first-appearance order."""
         ids: dict[str, int] = {}
-        tokens: list[str] = []
-        cascades: list[Cascade] = []
-        for cascade_id, row in rows:
-            users = []
-            for tok in row:
-                uid = ids.get(tok)
-                if uid is None:
-                    uid = len(tokens)
-                    ids[tok] = uid
-                    tokens.append(tok)
-                users.append(uid)
-            cascades.append(Cascade(cascade_id, tuple(users)))
-        return cls(cascades, tokens)
+        cascades = [
+            Cascade(cascade_id, tuple([ids.setdefault(tok, len(ids)) for tok in row]))
+            for cascade_id, row in rows
+        ]
+        return cls(cascades, list(ids))
 
     @property
     def cascades(self) -> tuple[Cascade, ...]:
@@ -174,12 +167,15 @@ def parse_cascade_file(text: str | Iterable[str]) -> CascadeDataset:
 
     Raises CascadeParseError for lines with fewer than two user tokens or a
     missing tab, and CascadeValidationError for a duplicate user within one
-    line; both name the offending line number.
+    line; both name the offending line number. The duplicate check is
+    `Cascade`'s, made once per line as it is read; its error is re-raised
+    with the line number and the first token that repeats an earlier one.
     """
     # A string splits exactly as a text-mode file does: at LF, CRLF and CR
     # only, not at the other separators str.splitlines() also breaks on.
     lines = io.StringIO(text, newline=None) if isinstance(text, str) else text
-    rows: list[tuple[str, list[str]]] = []
+    ids: dict[str, int] = {}
+    cascades: list[Cascade] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.startswith("#"):
@@ -191,15 +187,17 @@ def parse_cascade_file(text: str | Iterable[str]) -> CascadeDataset:
                 f"line {lineno}: expected '<cascade_id><TAB><source> <user> [...]',"
                 f" got {line!r}"
             )
-        seen = set()
-        for tok in user_tokens:
-            if tok in seen:
-                raise CascadeValidationError(
-                    f"line {lineno}: duplicate user {tok!r} in cascade {cascade_id!r}"
-                )
-            seen.add(tok)
-        rows.append((cascade_id, user_tokens))
-    return CascadeDataset.from_token_rows(rows)
+        # Interning is one-to-one, so a repeated id is a repeated token.
+        users = tuple([ids.setdefault(tok, len(ids)) for tok in user_tokens])
+        try:
+            cascades.append(Cascade(cascade_id, users))
+        except CascadeValidationError:
+            seen: set[str] = set()
+            tok = next(tok for tok in user_tokens if tok in seen or seen.add(tok))
+            raise CascadeValidationError(
+                f"line {lineno}: duplicate user {tok!r} in cascade {cascade_id!r}"
+            ) from None
+    return CascadeDataset(cascades, list(ids))
 
 
 def serialize_cascades(dataset: CascadeDataset) -> str:

@@ -33,11 +33,12 @@ deterministic.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from casembed.combinations import MODES, Combination, CombinationTable, build_table
+from casembed.combinations import MODES, Combination, CombinationTable, _check_mu, build_table
 from casembed.data import CascadeDataset
 from casembed.model import VARIANTS, EmbeddingModel, ModelError, init_model
 
@@ -54,6 +55,11 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+
+def _check_learning_rate(learning_rate: float) -> None:
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
 
 
 @dataclass
@@ -74,10 +80,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be at least 1, got {self.dimension}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.mu <= 1:
-            raise ValueError(f"mu must exceed 1, got {self.mu}")
+        _check_learning_rate(self.learning_rate)
+        _check_mu(self.mu)
         if self.sampling not in MODES:
             raise ValueError(f"sampling must be one of {MODES}, got {self.sampling!r}")
         if self.variant not in VARIANTS:
@@ -266,8 +270,7 @@ def run_epoch(
     epoch: int = 0,
 ) -> EpochStats:
     """One batch update in place; the stats describe the pre-update state."""
-    if learning_rate <= 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+    _check_learning_rate(learning_rate)
     packed = _pack_table(model, table)
     stats = _run_packed_epoch(model, packed, learning_rate, epoch)
     _check_final(model, packed, epoch)

@@ -48,6 +48,11 @@ class TestCriticalMargin:
         with pytest.raises(ValueError):
             critical_margin(1, 2, 1.0)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 1.0, 0.5])
+    def test_rejects_a_base_that_is_not_finite_above_one(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite and exceed 1"):
+            critical_margin(1, 2, mu)
+
     def test_positive_and_monotonic(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -104,6 +109,14 @@ class TestBuildTable:
         assert combo.avg_margin == pytest.approx(1.03, abs=0.005)
         expected = (math.log2(5 / 3) + math.log2(2.5)) / 2
         assert combo.avg_margin == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["dominant", "full"])
+    def test_rejects_a_bad_mu_even_without_triples(self, mu, mode):
+        # every cascade has one infected user, so no margin is ever computed
+        ds = _dataset([1, 2], [3, 4])
+        with pytest.raises(ValueError, match="mu must be finite and exceed 1"):
+            build_table(ds, mu, mode=mode)
 
     def test_dominant_tie_drops_both(self):
         ds = _dataset([1, 2, 3], [1, 3, 2])

@@ -262,6 +262,52 @@ def test_dataset_users_is_union_of_members():
     assert ds.num_users == 5
 
 
+@pytest.mark.parametrize("users, tokens, message", [
+    ((0, 1), ("a", "b", "a"), "token table contains duplicate tokens"),
+    ((0, 2), ("a", "b"), "user id 2 has no token table entry"),
+    ((-1, 0), ("a", "b"), "user id -1 has no token table entry"),
+    ((0, 1), ("a",), "user id 1 has no token table entry"),
+], ids=["repeated-token", "id-past-table", "negative-id", "short-table"])
+def test_dataset_rejects_a_bad_token_table(users, tokens, message):
+    with pytest.raises(CascadeValidationError, match=f"^{re.escape(message)}$"):
+        CascadeDataset([Cascade("c", (0, 1)), Cascade("d", users)], tokens)
+
+
+def _lines(rows):
+    return "".join(f"{cascade_id}\t{' '.join(users)}\n" for cascade_id, users in rows)
+
+
+# Rows whose tokens are unique within the row; the small pool makes rows share
+# tokens, so interning must reuse ids across lines.
+_pool_token = st.sampled_from(["a", "b", "c", "ü", "x1", "#"])
+_row = st.tuples(_id, st.lists(_token | _pool_token, min_size=2, max_size=5, unique=True))
+_repeat_row = st.tuples(
+    _id, st.lists(_pool_token, min_size=2, max_size=7).filter(lambda t: len(set(t)) < len(t))
+)
+_malformed = st.sampled_from(["no tab here", "c\tlonely", "\tx y", "c\t"])
+
+
+@settings(max_examples=100)
+@given(rows=st.lists(_row, max_size=8))
+def test_parse_agrees_with_from_token_rows(rows):
+    parsed = parse_cascade_file(_lines(rows))
+    built = CascadeDataset.from_token_rows(rows)
+    assert parsed.tokens == built.tokens
+    assert parsed.cascades == built.cascades
+
+
+@settings(max_examples=100)
+@given(before=st.lists(_row, max_size=4), repeat=_repeat_row,
+       after=st.lists(_malformed | _row.map(lambda row: _lines([row])[:-1]), max_size=3))
+def test_parse_names_the_first_repeated_token_of_the_first_bad_line(before, repeat, after):
+    cascade_id, users = repeat
+    first = next(tok for i, tok in enumerate(users) if tok in users[:i])
+    text = _lines([*before, repeat]) + "".join(line + "\n" for line in after)
+    message = f"line {len(before) + 1}: duplicate user {first!r} in cascade {cascade_id!r}"
+    with pytest.raises(CascadeValidationError, match=f"^{re.escape(message)}$"):
+        parse_cascade_file(text)
+
+
 class TestSplit:
     def _dataset(self, n=10):
         rows = [(f"c{i}", [f"s{i}", f"a{i}", f"b{i}"]) for i in range(n)]

@@ -55,6 +55,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rates(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrainConfig(epochs=1, **{field: value})
+
 
 class TestGapAndHinge:
     def test_gap_arithmetic(self):
@@ -133,6 +139,15 @@ class TestGradients:
 
 
 class TestRunEpoch:
+    @pytest.mark.parametrize("learning_rate", [0.0, math.nan, math.inf])
+    def test_rejects_a_bad_learning_rate_without_moving(self, learning_rate):
+        model = _model([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        before = model.coords.copy()
+        table = CombinationTable([Combination(0, 1, 2, 1, 100.0)], mode="full")
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            run_epoch(model, table, learning_rate)
+        np.testing.assert_array_equal(model.coords, before)
+
     def test_single_combo_step(self):
         model = _model([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         table = CombinationTable([Combination(0, 1, 2, 1, 100.0)], mode="full")
