@@ -156,6 +156,8 @@ def cmd_train(args) -> int:
     else:
         sys.stdout.write(log_lines)
     stats = {
+        # the triples the table merges: its build's working set scales with them
+        "triples": sum(c.num_infected * (c.num_infected - 1) // 2 for c in dataset),
         "table_entries": history.combinations,
         "points": model.num_points,
         "slots": history.slots,

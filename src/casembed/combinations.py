@@ -16,6 +16,15 @@ A CombinationTable keeps its entries as parallel numpy columns, which
 It also numbers the distinct (source, user) pairs its combinations read,
 the identity of a point in a source's susceptibility space; `build_table`
 hands over the numbering it merges triples with.
+
+`build_table` merges the T triples of a dataset by sorting one int64 per
+triple once, in place: the triple's unordered pair key, an orientation
+bit and its position, packed together. Runs of the sort give each entry's
+first occurrence, count and margin sum; the two orientations of a pair
+are neighbouring runs; and a scan over the T positions restores
+first-occurrence order. Nothing else of length T is sorted or searched,
+and the build's peak working set, the returned table included, is about
+ten int64 words per triple.
 """
 
 from __future__ import annotations
@@ -105,7 +114,10 @@ def _dense_key(columns: list[np.ndarray]) -> np.ndarray | None:
         return None
     key = columns[0] - lows[0]
     for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
-        key = key * span + (column - low)
+        # in place, in an order that keeps every partial sum within int64
+        key *= span
+        key -= low
+        key += column
     return key
 
 
@@ -273,6 +285,28 @@ def _unique_first(key: np.ndarray):
     return ordered[starts], np.minimum.reduceat(order, starts), inverse, counts
 
 
+def _sorted_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort non-negative int64 `key`, which is consumed, and return the
+    sorted keys with each one's original position; equal keys keep their
+    positions in ascending order, as a stable argsort would.
+
+    Packs ``key << bits(T - 1) | position`` into the key's own buffer and
+    sorts it in place, so the sort works on one int64 per key. When the
+    packed key would overflow int64, falls back to a stable argsort.
+    """
+    n = len(key)
+    shift = max(n - 1, 0).bit_length()
+    if int(key.max(initial=0)).bit_length() + shift > 63:
+        order = np.argsort(key, kind="stable")
+        return key[order], order
+    key <<= shift
+    key |= np.arange(n)
+    key.sort()
+    ordered = key >> shift
+    key &= (1 << shift) - 1
+    return ordered, key
+
+
 def build_table(
     dataset: CascadeDataset, mu: float = 2.0, mode: str = "dominant"
 ) -> CombinationTable:
@@ -283,6 +317,17 @@ def build_table(
     happens before dominance filtering, so dominance compares merged counts.
     Entries keep the order in which their keys first occur, and margins are
     summed in cascade order.
+
+    The T triples are merged by one in-place sort of one int64 per triple
+    (see `_sorted_runs`): the unordered key of the triple's two (source,
+    user) pairs, then an orientation bit, then the triple's position. A run
+    of equal keys is one entry, led by its first occurrence; the two
+    orientations of a pair are adjacent runs, which is all dominance needs;
+    and a mark-and-scan over the T positions restores first-occurrence
+    order. Each T-length array is freed once used and buffers are updated
+    in place, so at most about six T-length arrays are alive at once, and
+    the peak, the returned table's seven columns included, stays near ten
+    int64 words per triple.
     """
     _check_mu(mu)
     tokens = getattr(dataset, "tokens", None)
@@ -306,41 +351,98 @@ def build_table(
     margins = np.concatenate(margin_parts) if margin_parts else np.empty(0)
     if not len(margins):
         return CombinationTable([], mode=mode, tokens=tokens)
+    triples = len(margins)
     flat = np.asarray(users, dtype=np.int64)
     starts = np.asarray(starts)
-    # Number each position's (source, user) pair densely, so that a triple's
-    # key (pair of source and earlier user, later user) fits in int64.
+    # Number each position's (source, user) pair densely, in (source, user)
+    # order, so that a triple's key fits in int64.
     base = int(flat.max()) + 1
     cascade_source = np.repeat(flat[starts], np.diff(starts, append=len(flat)))
     pair_keys, pair = np.unique(cascade_source * base + flat, return_inverse=True)
-    # position in `flat` of each triple's source; its infected users follow
-    start = np.repeat(starts, [len(m) for m in margin_parts])
-    at_earlier = start + 1 + np.concatenate(earlier_parts)
-    at_later = start + 1 + np.concatenate(later_parts)
-    earlier, later = flat[at_earlier], flat[at_later]
-    key = pair[at_earlier] * base + later
-    keys, first, inverse, counts = _unique_first(key)  # `first`: each key's first occurrence
-    # bincount adds in input order, which is the order a running sum per
-    # key over the cascades uses, so the means are reproducible bit for bit.
-    means = np.bincount(inverse, weights=margins) / counts
-    keep = np.ones(len(keys), dtype=bool)
+    # each triple's earlier and later pair; a cascade's infected users follow its source
+    offset = np.repeat(starts + 1, [len(m) for m in margin_parts])
+    earlier = np.concatenate(earlier_parts)
+    earlier += offset
+    later = np.concatenate(later_parts)
+    later += offset
+    del offset, earlier_parts, later_parts, margin_parts
+    earlier = pair[earlier]
+    later = pair[later]
+    # key: the unordered pair, then whether the earlier pair is the larger
+    flipped = earlier > later
+    key = np.minimum(earlier, later)
+    np.maximum(earlier, later, out=later)
+    del earlier
+    key *= len(pair_keys)
+    key += later
+    del later
+    key <<= 1
+    key += flipped
+    del flipped
+    ordered, position = _sorted_runs(key)
+    del key
+    run_start = np.empty(triples, dtype=bool)
+    run_start[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+    run_starts = np.flatnonzero(run_start)
+    run_keys = ordered[run_starts]
+    del ordered
+    first = position[run_starts]  # a run lists its positions in ascending order
+    weights = margins[position]
+    del margins, position
+    run = np.cumsum(run_start, dtype=np.intp)
+    run -= 1
+    del run_start
+    # bincount adds in input order, and a run lists its margins in cascade
+    # order, so each sum is the running sum over the cascades, bit for bit.
+    means = np.bincount(run, weights=weights)
+    del run, weights
+    counts = np.diff(run_starts, append=triples)
+    del run_starts
+    means /= counts
+    keep = np.ones(len(run_keys), dtype=bool)
     if mode == "dominant":
-        opposite = pair[at_later[first]] * base + earlier[first]
-        at = np.minimum(np.searchsorted(keys, opposite), len(keys) - 1)
-        opposite_counts = np.where(keys[at] == opposite, counts[at], 0)
-        keep = opposite_counts < counts  # outnumbered, or tied: no dominant orientation
+        # the two orientations of a pair are adjacent keys differing in the low bit
+        twin = np.flatnonzero((run_keys[1:] ^ run_keys[:-1]) == 1)
+        keep[twin] = counts[twin] > counts[twin + 1]
+        keep[twin + 1] = counts[twin + 1] > counts[twin]  # a tie drops both
     kept = np.flatnonzero(keep)
-    kept = kept[np.argsort(first[kept])]
-    rows = first[kept]
-    columns = [flat[start[rows]], earlier[rows], later[rows], counts[kept], means[kept]]
+    del keep
+    # Restore first-occurrence order: mark each kept run at its first
+    # position, then scan the positions in order.
+    at = first[kept]
+    del first
+    marked = np.zeros(triples, dtype=bool)
+    marked[at] = True
+    run_at = np.empty(triples, dtype=np.intp)
+    run_at[at] = kept
+    del at, kept
+    kept = run_at[np.flatnonzero(marked)]
+    del run_at, marked
+    key = run_keys[kept]
+    del run_keys
+    counts = counts[kept]
+    means = means[kept]
+    del kept
+    flipped = (key & 1).astype(bool)
+    key >>= 1
+    low, high = np.divmod(key, len(pair_keys))
+    del key
+    earlier_pair = np.where(flipped, high, low)
+    later_pair = np.where(flipped, low, high)
+    del low, high, flipped
+    pair_source, pair_user = np.divmod(pair_keys, base)
+    columns = [
+        pair_source[earlier_pair], pair_user[earlier_pair], pair_user[later_pair], counts, means
+    ]
     # Renumber the pairs kept rows read, keeping their (source, user) order.
-    earlier_pair, later_pair = pair[at_earlier[rows]], pair[at_later[rows]]
     used = np.zeros(len(pair_keys), dtype=bool)
     used[earlier_pair] = True
     used[later_pair] = True
     renumber = np.cumsum(used) - 1
-    pair_source, pair_user = np.divmod(pair_keys[used], base)
-    pairs = (pair_source, pair_user, renumber[earlier_pair], renumber[later_pair])
+    earlier_pair = renumber[earlier_pair]
+    later_pair = renumber[later_pair]
+    pairs = (pair_source[used], pair_user[used], earlier_pair, later_pair)
     return CombinationTable._from_columns(columns, mode, tokens, pairs)
 
 

@@ -20,6 +20,13 @@ from the table's pair numbering (see `CombinationTable`), which
 slots numbered once per distinct (source, user) pair, and each combination
 only gathers its two pairs' slots.
 
+An epoch's scatter writes each slot's gradient and its negation straight
+into one preallocated (2S, D) weights buffer, frees the slot differences,
+gaps and active set before the scatter, and applies the update to the
+accumulated sums in place. Its working set peaks at about N + 2A + S·D
+words while it finds the A active combinations, and at about 2·S·D + P·D
+words for P model points while it scatters.
+
 Divergence raises ValueError naming the epoch. Every epoch checks the
 distances it starts from, and train and run_epoch check the coordinates the
 last epoch left: each squared distance must be finite and small enough for
@@ -231,31 +238,42 @@ def _run_packed_epoch(
     coords = model.coords
     diff, d2 = _slot_distances(coords, packed)
     _check_divergence(d2, packed, epoch, "before")
-    gaps = d2[packed.later_slot] - d2[packed.earlier_slot]
+    work_meter.entry_dims += len(packed.margins) + diff.size
+    gaps = d2[packed.later_slot]
+    gaps -= d2[packed.earlier_slot]
     active = np.flatnonzero(gaps < packed.margins)
-    total_loss = float((packed.margins[active] - gaps[active]).sum())
-    work_meter.entry_dims += gaps.size + diff.size
+    hinges = gaps[active]
+    del gaps
+    np.subtract(packed.margins[active], hinges, out=hinges)  # margin − gap, per active
+    total_loss = float(hinges.sum())
+    del hinges
+    active_count = len(active)
 
-    if len(active):
+    if active_count:
         slots = len(d2)
         n_e = np.bincount(packed.earlier_slot[active], minlength=slots)
         n_l = np.bincount(packed.later_slot[active], minlength=slots)
+        del active
         # Slot (x, y) serves n_e active combinations as the earlier distance
         # and n_l as the later one; their gradient terms sum to
         # 2·(n_e − n_l)·(x − y) on row x and the negation on row y. Row x is
         # touched once per combination, row y once per distance it serves.
-        grad = (2.0 * (n_e - n_l))[:, None] * diff
+        weights = np.empty((2 * slots, coords.shape[1]))
+        np.multiply((2.0 * (n_e - n_l))[:, None], diff, out=weights[:slots])
+        del diff
+        np.negative(weights[:slots], out=weights[slots:])
         accum = np.bincount(
-            packed.scatter_index,
-            weights=np.concatenate([grad, -grad]).ravel(),
-            minlength=coords.size,
+            packed.scatter_index, weights=weights.ravel(), minlength=coords.size
         ).reshape(coords.shape)
+        del weights
         touched = np.bincount(
             packed.rows, weights=np.concatenate([n_e, n_e + n_l]), minlength=len(coords)
         )
         # untouched rows have a zero sum, so they move by exactly zero
-        coords -= learning_rate * accum / np.maximum(touched, 1.0)[:, None]
-    return EpochStats(epoch, total_loss, len(active))
+        accum *= learning_rate
+        accum /= np.maximum(touched, 1.0)[:, None]
+        coords -= accum
+    return EpochStats(epoch, total_loss, active_count)
 
 
 def _check_final(model: EmbeddingModel, packed: _PackedTable, epoch: int):

@@ -164,6 +164,17 @@ class TestTrain:
             assert manifest["stats"]["table_entries"] == len(table)
             assert manifest["stats"]["slots"] == len(pairs)
 
+    @pytest.mark.parametrize("sampling", ["dominant", "full"])
+    def test_manifest_counts_the_triples_merged(self, corpus, tmp_path, sampling):
+        model_path = tmp_path / "m.iaem"
+        assert run("train", "--train", corpus, "--dim", 2, "--epochs", 1,
+                   "--sampling", sampling, "--model-out", model_path) == 0
+        stats = json.loads(Path(str(model_path) + ".manifest.json").read_text())["stats"]
+        dataset = load_cascade_file(corpus)
+        lengths = [len(cascade.infected) for cascade in dataset]
+        assert stats["triples"] == sum(n * (n - 1) // 2 for n in lengths)
+        assert stats["triples"] >= stats["table_entries"] > 0
+
     def test_epochs_zero_equals_initialization(self, corpus, tmp_path):
         model_path = tmp_path / "init.iaem"
         assert run("train", "--train", corpus, "--dim", 3, "--epochs", 0,

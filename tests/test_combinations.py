@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from casembed.combinations import (
     ENTRY,
     MODES,
+    _sorted_runs,
     _unique_first,
     Combination,
     CombinationTable,
@@ -19,6 +20,7 @@ from casembed.combinations import (
     extract_triples,
 )
 from casembed.data import CascadeDataset, parse_cascade_file
+from casembed.synthetic import emit_cascades, generate_world
 
 
 def _dataset(*rows):
@@ -250,6 +252,130 @@ _INT64 = st.integers(-(2**63), 2**63 - 1)
 @given(key=arrays(np.int64, st.integers(0, 300), elements=st.integers(-3, 3) | _INT64))
 def test_unique_first_matches_np_unique_on_drawn_keys(key):
     _assert_unique_first_matches_np_unique(key)
+
+
+def _running_sum_oracle(dataset, mu, mode):
+    """Keys in first-occurrence order with counts and running margin sums
+    over the cascades in file order; dominant mode keeps the strictly more
+    frequent orientation of each pair."""
+    sums, counts = {}, {}
+    for cascade in dataset:
+        for source, earlier, later, margin in extract_triples(cascade, mu):
+            key = (source, earlier, later)
+            sums[key] = sums.get(key, 0.0) + margin
+            counts[key] = counts.get(key, 0) + 1
+    keys = [
+        key for key in counts
+        if mode == "full" or counts[key] > counts.get((key[0], key[2], key[1]), 0)
+    ]
+    return keys, counts, sums
+
+
+# Cascades over a pool of six users: heavy repeats. A cascade is a source
+# and one to five infected users, so some cascades yield no triples; drawn
+# indices repeat cascades with their infected users reversed, so both
+# orientations of many pairs occur, often equally often.
+_mixed_cascades = st.lists(
+    st.lists(st.integers(0, 5), min_size=2, max_size=6, unique=True), max_size=14
+)
+
+
+@st.composite
+def _mirrored_cascades(draw):
+    rows = draw(_mixed_cascades)
+    mirrored = draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=len(rows)))
+    return rows + [rows[k][:1] + rows[k][:0:-1] for k in mirrored if rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=_mirrored_cascades(),
+    mode=st.sampled_from(MODES),
+    mu=st.sampled_from([1.5, 2.0, math.e]),
+)
+def test_table_equals_running_sum_oracle_on_drawn_datasets(rows, mode, mu):
+    dataset = _dataset(*rows)
+    keys, counts, sums = _running_sum_oracle(dataset, mu, mode)
+    table = build_table(dataset, mu, mode=mode)
+    assert list(table.keys()) == keys
+    assert table.count.tolist() == [counts[key] for key in keys]
+    assert table.avg_margin.tolist() == [sums[key] / counts[key] for key in keys]
+    # the numbering the build hands over equals the one computed on first use
+    lazy = CombinationTable(list(table), table.mode, table.tokens)
+    for name in ("pair_source", "pair_user", "earlier_pair", "later_pair"):
+        np.testing.assert_array_equal(getattr(table, name), getattr(lazy, name), strict=True)
+
+
+def _assert_sorted_runs_match_stable_argsort(key):
+    order = np.argsort(key, kind="stable")
+    ordered, position = _sorted_runs(key.copy())
+    np.testing.assert_array_equal(position, order, strict=True)
+    np.testing.assert_array_equal(ordered, key[order], strict=True)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 5000])
+@pytest.mark.parametrize("top", [
+    0,
+    3,
+    2**50,
+    2**62,  # the packed key overflows int64: the argsort fallback
+    2**63 - 1,
+])
+def test_sorted_runs_match_stable_argsort(size, top):
+    rng = np.random.default_rng(size)
+    # repeated keys near `top`, and the top itself
+    key = top - rng.integers(0, 4, size=size)
+    key = np.clip(key, 0, None)
+    key[: size // 2] = top
+    _assert_sorted_runs_match_stable_argsort(key)
+
+
+@pytest.mark.parametrize("size", [2, 3, 1000, 4096, 4097])
+def test_sorted_runs_on_both_sides_of_the_packing_limit(size):
+    # keys of b bits pack with positions of bits(size - 1) bits exactly when b + bits <= 63
+    shift = (size - 1).bit_length()
+    for top in (2 ** (63 - shift) - 1, 2 ** (63 - shift)):
+        key = np.full(size, top, dtype=np.int64)
+        key[::3] = top - 1
+        _assert_sorted_runs_match_stable_argsort(key)
+
+
+@settings(max_examples=100)
+@given(key=arrays(np.int64, st.integers(0, 300), elements=st.integers(0, 3) | st.integers(0, 2**63 - 1)))
+def test_sorted_runs_match_stable_argsort_on_drawn_keys(key):
+    _assert_sorted_runs_match_stable_argsort(key)
+
+
+# Words of 8 bytes that `build_table` may hold at its peak, counting the
+# table it returns: per triple, plus per cascade position for the pair
+# numbering and the walk over the cascades.
+BUILD_WORDS_PER_TRIPLE = 10
+BUILD_WORDS_PER_POSITION = 20
+
+
+def _distinct_triples_dataset():
+    """Every cascade under its own source: no two triples share a key, so
+    the table is as long as the triple list."""
+    rng = np.random.default_rng(1)
+    return CascadeDataset.from_token_rows(
+        (f"c{k}", [f"s{k}", *(f"u{u}" for u in rng.choice(1000, 20, replace=False))])
+        for k in range(150)
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("corpus", ["planted", "distinct"])
+def test_build_working_set_is_bounded_per_triple(traced_peak, mode, corpus):
+    if corpus == "planted":
+        dataset = emit_cascades(generate_world(4, 100, 4, seed=5, noise=0.3), 30, 20, seed=6)
+    else:
+        dataset = _distinct_triples_dataset()
+    triples = sum(c.num_infected * (c.num_infected - 1) // 2 for c in dataset)
+    positions = sum(len(c.users) for c in dataset)
+    table, peak = traced_peak(build_table, dataset, 2.0, mode)
+    assert len(table) <= triples
+    bound = 8 * (BUILD_WORDS_PER_TRIPLE * triples + BUILD_WORDS_PER_POSITION * positions)
+    assert peak <= bound, f"{peak / 8 / triples:.1f} words per triple"
 
 
 def test_total_triples_match_complexity_factor():

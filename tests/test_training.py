@@ -15,6 +15,7 @@ from casembed.training import (
     TrainConfig,
     _PackedTable,
     _pack_table,
+    _run_packed_epoch,
     accumulate_gradients,
     hinge_loss,
     predicted_gap,
@@ -260,6 +261,20 @@ class TestRunEpoch:
         assert work(table, 2) == len(table) + slots(table) * 2
         assert work(table, 4) == len(table) + slots(table) * 4
         assert work(half, 2) == len(half) + slots(half) * 2
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_epoch_working_set_is_linear_in_table_and_slots(self, traced_peak, variant):
+        # One epoch may hold at its peak 2·(N + 2·S·D) words of 8 bytes for
+        # N combinations over S slots in D dimensions.
+        world = generate_world(6, 40, 4, seed=5, noise=0.3)
+        table = build_table(emit_cascades(world, 40, 16, seed=6), mode="full")
+        cfg = TrainConfig(epochs=1, dimension=16, variant=variant)
+        model = init_model(table, cfg, np.random.default_rng(0))
+        packed = _pack_table(model, table)
+        stats, peak = traced_peak(_run_packed_epoch, model, packed, 0.01, 0)
+        assert stats.active_count > 0
+        words = len(table) + 2 * len(packed.slot_x) * cfg.dimension
+        assert peak <= 2 * 8 * words, f"{peak / 8 / words:.2f} words per bound word"
 
     @pytest.mark.parametrize("variant", ["independent", "shared_susceptibility", "single_space"])
     def test_slots_are_the_distinct_source_user_pairs(self, variant):
