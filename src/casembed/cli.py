@@ -19,6 +19,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 # Not called here: bench/traced.py times build_table through this name.
 from casembed.combinations import build_table  # noqa: F401
 from casembed.data import (
@@ -55,10 +57,13 @@ def _now() -> str:
 
 
 def _sha256(path: Path) -> str:
+    """SHA-256 of a file, read through one reused 64 KiB buffer, so hashing
+    holds no copy of the file."""
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    view = memoryview(bytearray(1 << 16))
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(view):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -155,9 +160,10 @@ def cmd_train(args) -> int:
         outputs.append(args.log)
     else:
         sys.stdout.write(log_lines)
+    infected = np.diff(dataset.offsets) - 1
     stats = {
         # the triples the table merges: its build's working set scales with them
-        "triples": sum(c.num_infected * (c.num_infected - 1) // 2 for c in dataset),
+        "triples": int((infected * (infected - 1) // 2).sum()),
         "table_entries": history.combinations,
         "points": model.num_points,
         "slots": history.slots,

@@ -13,18 +13,22 @@ a tie drops both (keeping both would impose contradictory constraints).
 
 A CombinationTable keeps its entries as parallel numpy columns, which
 `build_table` fills directly; `Combination` views are made only on demand.
+A table built from entries proves its keys distinct with one sort; the
+build's keys are distinct by construction, so its table skips that sort.
 It also numbers the distinct (source, user) pairs its combinations read,
 the identity of a point in a source's susceptibility space; `build_table`
 hands over the numbering it merges triples with.
 
-`build_table` merges the T triples of a dataset by sorting one int64 per
-triple once, in place: the triple's unordered pair key, an orientation
+`build_table` reads a dataset's columns: each triple's positions come from
+the cascade offsets and a catalogue of ordered pairs per cascade length,
+with no loop over cascades. It merges the T triples by sorting one int64
+per triple once, in place: the triple's unordered pair key, an orientation
 bit and its position, packed together. Runs of the sort give each entry's
 first occurrence, count and margin sum; the two orientations of a pair
 are neighbouring runs; and a scan over the T positions restores
 first-occurrence order. Nothing else of length T is sorted or searched,
-and the build's peak working set, the returned table included, is about
-ten int64 words per triple.
+and the build's peak working set, the returned table included, is at most
+about nine int64 words per triple.
 """
 
 from __future__ import annotations
@@ -147,12 +151,22 @@ class CombinationTable:
             entries = [(c.source, c.earlier, c.later, c.count, c.avg_margin) for c in entries]
         rows = np.asarray(entries, dtype=ENTRY)
         self._set_columns([rows[name].copy() for name in ENTRY.names], mode, tokens)
+        self._check_distinct()
 
     @classmethod
-    def _from_columns(cls, columns, mode, tokens, pairs) -> CombinationTable:
-        """A table over `columns` (of `ENTRY`'s dtypes, owned by the table)
-        with its pair numbering (pair_source, pair_user, earlier_pair,
-        later_pair) already computed."""
+    def _from_build(cls, columns, mode, tokens, pairs) -> CombinationTable:
+        """The table `build_table` assembles: `columns` (of `ENTRY`'s
+        dtypes, owned by the table) and the pair numbering (pair_source,
+        pair_user, earlier_pair, later_pair) it merged triples with.
+
+        Each row is one run of the build's sort of triple keys, so keys are
+        distinct by construction and the sort that proves it for entries
+        from outside is skipped; on a corpus of distinct triples that sort
+        would set the build's peak. The per-row value checks stay: one O(N)
+        pass that keeps every row a valid `Combination` (distinct users, a
+        positive count, a positive margin) whatever the build's arithmetic
+        gives, at no cost to the peak.
+        """
         table = cls.__new__(cls)
         table._set_columns(columns, mode, tokens)
         for column in pairs:
@@ -174,6 +188,10 @@ class CombinationTable:
         if bad.any():
             # raises, naming the broken invariant
             Combination(*(c[np.argmax(bad)].item() for c in columns))
+
+    def _check_distinct(self) -> None:
+        """Raise if two rows share a (source, earlier, later) key."""
+        columns = self._columns
         key = _dense_key(columns[:3])
         if key is None:  # the id ranges overflow int64: compare the columns
             order = np.lexsort(columns[2::-1])  # by source, then earlier, then later
@@ -265,26 +283,6 @@ def extract_triples(
     return out
 
 
-def _unique_first(key: np.ndarray):
-    """Distinct keys, each one's first position, the inverse and the counts.
-
-    Equals ``np.unique(key, return_index=True, return_inverse=True,
-    return_counts=True)`` for a 1-D integer array, output for output, but
-    sorts once without the stable sort that return_index makes np.unique
-    use: a key's first position is the least one in its run of the sort.
-    """
-    order = np.argsort(key)
-    ordered = key[order]
-    run_start = np.empty(len(key), dtype=bool)
-    run_start[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
-    inverse = np.empty(len(key), dtype=np.intp)
-    inverse[order] = np.cumsum(run_start) - 1
-    counts = np.diff(starts, append=len(key))
-    return ordered[starts], np.minimum.reduceat(order, starts), inverse, counts
-
-
 def _sorted_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort non-negative int64 `key`, which is consumed, and return the
     sorted keys with each one's original position; equal keys keep their
@@ -318,6 +316,10 @@ def build_table(
     Entries keep the order in which their keys first occur, and margins are
     summed in cascade order.
 
+    Triples come in cascade order, each cascade's pairs in `np.triu_indices`
+    order, gathered from the dataset's offsets and a catalogue of the
+    ordered pairs and margins of each distinct cascade length.
+
     The T triples are merged by one in-place sort of one int64 per triple
     (see `_sorted_runs`): the unordered key of the triple's two (source,
     user) pairs, then an orientation bit, then the triple's position. A run
@@ -326,46 +328,52 @@ def build_table(
     and a mark-and-scan over the T positions restores first-occurrence
     order. Each T-length array is freed once used and buffers are updated
     in place, so at most about six T-length arrays are alive at once, and
-    the peak, the returned table's seven columns included, stays near ten
-    int64 words per triple.
+    the peak, the returned table's seven columns included, stays under
+    about nine int64 words per triple.
     """
     _check_mu(mu)
-    tokens = getattr(dataset, "tokens", None)
-    by_length: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    users: list[int] = []
-    starts, earlier_parts, later_parts, margin_parts = [], [], [], []
-    for cascade in dataset:
-        length = cascade.num_infected
-        if length not in by_length:
-            # earlier and later 0-based positions of every ordered pair, with margins
-            earlier, later = np.triu_indices(length, 1)
-            pairs = zip(earlier.tolist(), later.tolist())
-            margins = [critical_margin(i + 1, j + 1, mu) for i, j in pairs]
-            by_length[length] = earlier, later, np.array(margins, dtype=np.float64)
-        earlier, later, margins = by_length[length]
-        starts.append(len(users))
-        users.extend(cascade.users)
-        earlier_parts.append(earlier)
-        later_parts.append(later)
-        margin_parts.append(margins)
-    margins = np.concatenate(margin_parts) if margin_parts else np.empty(0)
-    if not len(margins):
+    tokens = dataset.tokens
+    flat, offsets = dataset.flat_users, dataset.offsets
+    infected = np.diff(offsets) - 1
+    per_cascade = infected * (infected - 1) // 2
+    triples = int(per_cascade.sum())
+    if not triples:
         return CombinationTable([], mode=mode, tokens=tokens)
-    triples = len(margins)
-    flat = np.asarray(users, dtype=np.int64)
-    starts = np.asarray(starts)
     # Number each position's (source, user) pair densely, in (source, user)
     # order, so that a triple's key fits in int64.
-    base = int(flat.max()) + 1
-    cascade_source = np.repeat(flat[starts], np.diff(starts, append=len(flat)))
-    pair_keys, pair = np.unique(cascade_source * base + flat, return_inverse=True)
+    width = int(flat.max()) + 1
+    starts = offsets[:-1]
+    cascade_source = np.repeat(flat[starts], infected + 1)
+    pair_keys, pair = np.unique(cascade_source * width + flat, return_inverse=True)
+    del cascade_source
+    # One catalogue of every ordered pair of infected positions, with its
+    # margin, per distinct cascade length: length n's pairs start at base[n].
+    # (a set: a plain np.unique would import numpy.ma, about 1 MB of start-up)
+    lengths = sorted(set(infected[per_cascade > 0].tolist()))
+    sizes = [n * (n - 1) // 2 for n in lengths]
+    base = np.zeros(lengths[-1] + 1, dtype=np.int64)
+    base[lengths] = np.cumsum(sizes) - sizes
+    catalogue = []
+    for length in lengths:
+        earlier, later = np.triu_indices(length, 1)
+        pairs = zip(earlier.tolist(), later.tolist())
+        margins = [critical_margin(i + 1, j + 1, mu) for i, j in pairs]
+        catalogue.append((earlier, later, np.array(margins, dtype=np.float64)))
+    catalogue_earlier, catalogue_later, catalogue_margins = (
+        np.concatenate(column) for column in zip(*catalogue)
+    )
+    # A cascade's t-th triple reads catalogue row base[n] + t, n its length.
+    row = np.repeat(base[infected] - (np.cumsum(per_cascade) - per_cascade), per_cascade)
+    row += np.arange(triples)
+    margins = catalogue_margins[row]
+    earlier = catalogue_earlier[row]
+    later = catalogue_later[row]
+    del row
     # each triple's earlier and later pair; a cascade's infected users follow its source
-    offset = np.repeat(starts + 1, [len(m) for m in margin_parts])
-    earlier = np.concatenate(earlier_parts)
+    offset = np.repeat(starts + 1, per_cascade)
     earlier += offset
-    later = np.concatenate(later_parts)
     later += offset
-    del offset, earlier_parts, later_parts, margin_parts
+    del offset
     earlier = pair[earlier]
     later = pair[later]
     # key: the unordered pair, then whether the earlier pair is the larger
@@ -431,7 +439,7 @@ def build_table(
     earlier_pair = np.where(flipped, high, low)
     later_pair = np.where(flipped, low, high)
     del low, high, flipped
-    pair_source, pair_user = np.divmod(pair_keys, base)
+    pair_source, pair_user = np.divmod(pair_keys, width)
     columns = [
         pair_source[earlier_pair], pair_user[earlier_pair], pair_user[later_pair], counts, means
     ]
@@ -443,7 +451,7 @@ def build_table(
     earlier_pair = renumber[earlier_pair]
     later_pair = renumber[later_pair]
     pairs = (pair_source[used], pair_user[used], earlier_pair, later_pair)
-    return CombinationTable._from_columns(columns, mode, tokens, pairs)
+    return CombinationTable._from_build(columns, mode, tokens, pairs)
 
 
 def dump_table_tsv(table: CombinationTable, stream: IO[str]) -> None:

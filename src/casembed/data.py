@@ -10,14 +10,25 @@ with the users listed in contamination order: the first token is the source,
 the remaining tokens are the infected users. Tokens are opaque strings and
 are interned to dense integer ids in first-appearance order; the original
 tokens are kept so datasets round-trip through serialization.
+
+A `CascadeDataset` is columnar: one flat int64 array of every cascade's
+users, an offsets array, the cascade ids and the token table. Parsing fills
+the columns in one pass over the lines and finds users repeated within a
+cascade with one sort; splitting gathers columns by index; serializing
+renders from the columns. `Cascade` objects are views, made only when a
+caller iterates or indexes a dataset.
 """
 
 from __future__ import annotations
 
-import io
+import operator
 import os
+import re
 import stat
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -94,23 +105,50 @@ class Cascade:
 
 
 class CascadeDataset:
-    """Immutable cascade collection sharing one token table.
+    """Immutable cascade collection stored as columns, sharing one token table.
 
+    Cascade k is ``cascade_ids[k]`` with users
+    ``flat_users[offsets[k]:offsets[k + 1]]``, its source first: one int64
+    array for every cascade's users and one offsets array, both read-only.
     ``tokens[i]`` is the original string token of interned user id ``i``.
-    Splits keep their parent's table, so ids stay stable across train/test.
+    Iteration and indexing hand out `Cascade` views made on demand. Splits
+    keep their parent's table, so ids stay stable across train/test.
     """
 
     def __init__(self, cascades: Iterable[Cascade], tokens: Sequence[str]):
-        self._cascades = tuple(cascades)
-        self._tokens = tuple(tokens)
-        self._ids = {tok: i for i, tok in enumerate(self._tokens)}
-        if len(self._ids) != len(self._tokens):
+        cascades = tuple(cascades)
+        tokens = tuple(tokens)
+        ids = {tok: i for i, tok in enumerate(tokens)}
+        if len(ids) != len(tokens):
             raise CascadeValidationError("token table contains duplicate tokens")
-        self._users = frozenset().union(*(c.users for c in self._cascades))
-        low, high = min(self._users, default=0), max(self._users, default=-1)
-        if low < 0 or high >= len(self._tokens):
+        lengths = [len(c.users) for c in cascades]
+        flat = np.fromiter(chain.from_iterable(c.users for c in cascades), np.int64,
+                           sum(lengths))
+        low, high = (int(flat.min()), int(flat.max())) if len(flat) else (0, -1)
+        if low < 0 or high >= len(tokens):
             bad = low if low < 0 else high
             raise CascadeValidationError(f"user id {bad} has no token table entry")
+        self._assign(tuple(c.cascade_id for c in cascades), flat, _offsets(lengths),
+                     tokens, ids)
+
+    def _assign(self, cascade_ids, flat, offsets, tokens, ids) -> None:
+        for column in (flat, offsets):
+            column.flags.writeable = False
+        self._cascade_ids: tuple[str, ...] = cascade_ids
+        self._flat = flat
+        self._offsets = offsets
+        self._tokens: tuple[str, ...] = tokens
+        self._ids: dict[str, int] = ids
+
+    @classmethod
+    def _from_columns(cls, cascade_ids, flat, offsets, tokens, ids) -> CascadeDataset:
+        """A dataset over columns known to be valid: every cascade has a
+        source and an infected user and no repeated user, every id indexes
+        `tokens`, and `ids` inverts `tokens`. The columns become the
+        dataset's; `ids` may be shared, as nothing changes it."""
+        dataset = cls.__new__(cls)
+        dataset._assign(cascade_ids, flat, offsets, tokens, ids)
+        return dataset
 
     @classmethod
     def from_token_rows(
@@ -126,25 +164,40 @@ class CascadeDataset:
         return cls(cascades, list(ids))
 
     @property
+    def cascade_ids(self) -> tuple[str, ...]:
+        return self._cascade_ids
+
+    @property
+    def flat_users(self) -> np.ndarray:
+        """Every cascade's users, cascade after cascade (read-only int64)."""
+        return self._flat
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Start of each cascade in `flat_users`, then its length (read-only
+        int64, one longer than the dataset)."""
+        return self._offsets
+
+    @property
     def cascades(self) -> tuple[Cascade, ...]:
-        return self._cascades
+        return tuple(self)
 
     @property
     def tokens(self) -> tuple[str, ...]:
         return self._tokens
 
-    @property
+    @cached_property
     def users(self) -> frozenset[int]:
         """Union of all cascade members."""
-        return self._users
+        return frozenset(self._flat.tolist())
 
     @property
     def num_cascades(self) -> int:
-        return len(self._cascades)
+        return len(self._cascade_ids)
 
     @property
     def num_users(self) -> int:
-        return len(self._users)
+        return len(self.users)
 
     def token(self, user: int) -> str:
         return self._tokens[user]
@@ -153,29 +206,77 @@ class CascadeDataset:
         return self._ids.get(token)
 
     def __len__(self) -> int:
-        return len(self._cascades)
+        return len(self._cascade_ids)
 
     def __iter__(self) -> Iterator[Cascade]:
-        return iter(self._cascades)
+        flat = self._flat.tolist()
+        bounds = self._offsets.tolist()
+        for k, cascade_id in enumerate(self._cascade_ids):
+            yield Cascade(cascade_id, tuple(flat[bounds[k]:bounds[k + 1]]))
 
     def __getitem__(self, index: int) -> Cascade:
-        return self._cascades[index]
+        k = range(len(self._cascade_ids))[operator.index(index)]
+        users = self._flat[self._offsets[k]:self._offsets[k + 1]].tolist()
+        return Cascade(self._cascade_ids[k], tuple(users))
+
+    def _take(self, index: np.ndarray) -> CascadeDataset:
+        """The cascades at ascending positions `index`, gathered by array
+        indexing, with this dataset's token table."""
+        starts = self._offsets[index]
+        lengths = self._offsets[index + 1] - starts
+        offsets = _offsets(lengths)
+        gather = np.repeat(starts - offsets[:-1], lengths)
+        gather += np.arange(offsets[-1])
+        cascade_ids = tuple(map(self._cascade_ids.__getitem__, index.tolist()))
+        return CascadeDataset._from_columns(cascade_ids, self._flat[gather], offsets,
+                                            self._tokens, self._ids)
+
+
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+def _offsets(lengths) -> np.ndarray:
+    """Offsets of consecutive runs of the given lengths: 0, then the running sums."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _first_repeat(flat: np.ndarray, offsets: np.ndarray, num_tokens: int) -> int | None:
+    """Index of the first cascade that lists a user twice, or None.
+
+    One sort of a (cascade, user) key per position; the key is below N²
+    for N positions, so it fits int64 for any N that fits in memory.
+    """
+    key = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64) * num_tokens,
+                    np.diff(offsets))
+    key += flat
+    key.sort()
+    repeat = np.flatnonzero(key[1:] == key[:-1])
+    # keys order by cascade first, so the first repeat is in the first bad cascade
+    return int(key[repeat[0]] // num_tokens) if len(repeat) else None
 
 
 def parse_cascade_file(text: str | Iterable[str]) -> CascadeDataset:
     """Parse cascade text (a string or an iterable of lines) into a dataset.
 
-    Raises CascadeParseError for lines with fewer than two user tokens or a
-    missing tab, and CascadeValidationError for a duplicate user within one
-    line; both name the offending line number. The duplicate check is
-    `Cascade`'s, made once per line as it is read; its error is re-raised
-    with the line number and the first token that repeats an earlier one.
+    One pass over the lines fills the columns and interns tokens in
+    first-appearance order; one sort of (cascade, user) keys then finds a
+    user listed twice in a cascade. Raises CascadeParseError for lines with
+    fewer than two user tokens or a missing tab, and CascadeValidationError
+    for a duplicate user within one line, naming the first token that
+    repeats an earlier one; both name the line number, and the first bad
+    line in the text is the one reported.
     """
     # A string splits exactly as a text-mode file does: at LF, CRLF and CR
-    # only, not at the other separators str.splitlines() also breaks on.
-    lines = io.StringIO(text, newline=None) if isinstance(text, str) else text
+    # only, not at the other separators str.splitlines() also breaks on. A
+    # final line break leaves an empty last line, which is skipped as blank.
+    lines = _LINE_BREAK.split(text) if isinstance(text, str) else text
     ids: dict[str, int] = {}
-    cascades: list[Cascade] = []
+    cascade_ids: list[str] = []
+    linenos = array("q")
+    lengths = array("q")
+    users = array("q")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.startswith("#"):
@@ -183,21 +284,35 @@ def parse_cascade_file(text: str | Iterable[str]) -> CascadeDataset:
         cascade_id, tab, rest = line.partition("\t")
         user_tokens = rest.split()
         if not tab or not cascade_id.strip() or len(user_tokens) < 2:
+            # a repeat on an earlier line is the first error
+            _check_repeats(ids, cascade_ids, linenos, users, lengths)
             raise CascadeParseError(
                 f"line {lineno}: expected '<cascade_id><TAB><source> <user> [...]',"
                 f" got {line!r}"
             )
-        # Interning is one-to-one, so a repeated id is a repeated token.
-        users = tuple([ids.setdefault(tok, len(ids)) for tok in user_tokens])
-        try:
-            cascades.append(Cascade(cascade_id, users))
-        except CascadeValidationError:
-            seen: set[str] = set()
-            tok = next(tok for tok in user_tokens if tok in seen or seen.add(tok))
-            raise CascadeValidationError(
-                f"line {lineno}: duplicate user {tok!r} in cascade {cascade_id!r}"
-            ) from None
-    return CascadeDataset(cascades, list(ids))
+        cascade_ids.append(cascade_id)
+        linenos.append(lineno)
+        lengths.append(len(user_tokens))
+        users.extend([ids.setdefault(tok, len(ids)) for tok in user_tokens])
+    flat, offsets = _check_repeats(ids, cascade_ids, linenos, users, lengths)
+    return CascadeDataset._from_columns(tuple(cascade_ids), flat, offsets, tuple(ids), ids)
+
+
+def _check_repeats(ids, cascade_ids, linenos, users, lengths):
+    """The parse's flat users and offsets; raises for the first cascade that
+    lists a user twice, naming its line and first repeated token."""
+    flat = np.frombuffer(users, dtype=np.int64) if len(users) else np.empty(0, np.int64)
+    offsets = _offsets(lengths)
+    k = _first_repeat(flat, offsets, len(ids))
+    if k is not None:
+        tokens = list(ids)
+        seen: set[str] = set()
+        row = [tokens[u] for u in flat[offsets[k]:offsets[k + 1]].tolist()]
+        tok = next(tok for tok in row if tok in seen or seen.add(tok))
+        raise CascadeValidationError(
+            f"line {linenos[k]}: duplicate user {tok!r} in cascade {cascade_ids[k]!r}"
+        )
+    return flat, offsets
 
 
 def serialize_cascades(dataset: CascadeDataset) -> str:
@@ -211,15 +326,16 @@ def serialize_cascades(dataset: CascadeDataset) -> str:
     if " ".join(tokens).split() != list(tokens):
         bad = next(tok for tok in tokens if tok.split() != [tok])
         raise CascadeValidationError(f"token {bad!r} is empty or holds whitespace")
-    for c in dataset:
-        cid = c.cascade_id
+    for cid in dataset.cascade_ids:
         if not cid.strip() or cid.startswith("#") or "\t" in cid or "\n" in cid or "\r" in cid:
             raise CascadeValidationError(
                 f"cascade id {cid!r} is blank, starts with '#' or holds a tab or line break"
             )
+    words = list(map(tokens.__getitem__, dataset.flat_users.tolist()))
+    bounds = dataset.offsets.tolist()
     return "".join(
-        f"{c.cascade_id}\t{' '.join(dataset.token(u) for u in c.users)}\n"
-        for c in dataset
+        f"{cid}\t{' '.join(words[bounds[k]:bounds[k + 1]])}\n"
+        for k, cid in enumerate(dataset.cascade_ids)
     )
 
 
@@ -287,11 +403,6 @@ def split_dataset(
     rng = np.random.default_rng(seed)
     order = rng.permutation(total)
     n_test = int(test_fraction * total + 0.5)
-    test_idx = set(map(int, order[:n_test]))
-    train = CascadeDataset(
-        (c for i, c in enumerate(dataset) if i not in test_idx), dataset.tokens
-    )
-    test = CascadeDataset(
-        (c for i, c in enumerate(dataset) if i in test_idx), dataset.tokens
-    )
-    return train, test
+    in_test = np.zeros(total, dtype=bool)
+    in_test[order[:n_test]] = True
+    return dataset._take(np.flatnonzero(~in_test)), dataset._take(np.flatnonzero(in_test))

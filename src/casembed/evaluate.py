@@ -11,16 +11,21 @@ The AP of a ranking against a truth cascade with R infected users: for each
 truth user found at position k of the ranking add |top-k of ranking that are
 truth| / k, then divide by R. Truth users absent from the ranking contribute
 zero, so sparse candidate coverage is penalized rather than skipped.
-`_prefix_ap` walks a ranking to compute it and is the reference;
-`evaluate` keeps one `{user: position}` map per ranked source and sums the
-same terms from a cascade's sorted truth positions, in O(truth users) per
-cascade.
+`_prefix_ap` walks a ranking to compute it and is the reference.
+
+`evaluate` works on the test set's columns. It keys every ranked candidate
+by (source, user) and sorts the keys once; one `searchsorted` finds every
+truth user's position; and one `bincount` adds each cascade's hits/k terms
+in ascending k, the additions `_prefix_ap` makes, in its order. Its cost is
+O(truth users + Σ ranked candidates), the sum over distinct known sources.
 
 Each score also carries `chance_ap`, the expected AP of a uniformly random
 ranking of the same candidates. For r of the R truth users among N
 candidates it is (r/R)·((r−1)/(N−1)·(N−H_N) + H_N)/N, with H_N the N-th
 harmonic number (Bestgen, PBML 103, 2015); it is r/R for N = 1 and 0 when
-nothing is ranked. `EvalReport.chance_map` is its mean over cascades.
+nothing is ranked. `_chance_ap` is the scalar reference; `evaluate` makes
+the same operations on columns. `EvalReport.chance_map` is its mean over
+cascades.
 """
 
 from __future__ import annotations
@@ -28,10 +33,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
 
+from casembed.combinations import _sorted_runs
 from casembed.data import Cascade, CascadeDataset
 from casembed.model import EmbeddingModel, ModelError
 
@@ -66,27 +73,64 @@ class CascadeScore:
     chance_ap: float = 0.0
 
 
-@dataclass(frozen=True)
 class EvalReport:
-    per_cascade: tuple[CascadeScore, ...]
-    map: float
+    """Per-cascade scores as columns in test-set order, plus their MAP.
+
+    Columns: `cascade_ids`, `ap`, `candidate_count`, `unseen_count`,
+    `source_known` and `chance_ap`, the arrays read-only; `per_cascade`
+    hands out `CascadeScore` views.
+    """
+
+    def __init__(self, cascade_ids, ap, candidate_count, unseen_count, source_known,
+                 chance_ap, map: float):
+        self.cascade_ids: tuple[str, ...] = tuple(cascade_ids)
+        self.ap = _frozen(ap, np.float64)
+        self.candidate_count = _frozen(candidate_count, np.int64)
+        self.unseen_count = _frozen(unseen_count, np.int64)
+        self.source_known = _frozen(source_known, bool)
+        self.chance_ap = _frozen(chance_ap, np.float64)
+        self.map = map
+
+    def _columns(self):
+        return (self.ap, self.candidate_count, self.unseen_count, self.source_known,
+                self.chance_ap)
+
+    def __eq__(self, other):
+        if not isinstance(other, EvalReport):
+            return NotImplemented
+        return (self.cascade_ids == other.cascade_ids and self.map == other.map
+                and all(np.array_equal(a, b)
+                        for a, b in zip(self._columns(), other._columns())))
+
+    __hash__ = None
+
+    @property
+    def per_cascade(self) -> tuple[CascadeScore, ...]:
+        return tuple(map(CascadeScore, self.cascade_ids,
+                         *(column.tolist() for column in self._columns())))
 
     @property
     def num_cascades(self) -> int:
-        return len(self.per_cascade)
+        return len(self.cascade_ids)
 
     @property
     def num_unknown_sources(self) -> int:
-        return sum(1 for s in self.per_cascade if not s.source_known)
+        return len(self.source_known) - int(np.count_nonzero(self.source_known))
 
     @property
     def total_unseen(self) -> int:
-        return sum(s.unseen_count for s in self.per_cascade)
+        return int(self.unseen_count.sum())
 
     @property
     def chance_map(self) -> float:
         """Mean over cascades of the expected AP of a random ranking."""
-        return sum(s.chance_ap for s in self.per_cascade) / len(self.per_cascade)
+        return sum(self.chance_ap.tolist()) / len(self.chance_ap)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
 
 
 def rank_for_source(model: EmbeddingModel, source: int) -> RankedPrediction:
@@ -114,17 +158,6 @@ def _prefix_ap(ranked_users: Iterable[int], truth_users: set[int], truth_total: 
     return total / truth_total
 
 
-def _positions_ap(found: list[int], truth_total: int) -> float:
-    """`_prefix_ap` from the ascending 1-based positions of the truth users
-    found in the ranking: the same terms, added in the same order."""
-    if truth_total < 1:
-        raise ValueError("truth cascade has no infected users")
-    total = 0.0
-    for hits, k in enumerate(found, start=1):
-        total += hits / k
-    return total / truth_total
-
-
 def _chance_ap(found: int, truth_total: int, candidates: int, harmonic: float) -> float:
     """Expected AP of a uniformly random ranking of `candidates` users,
     `found` of them among the `truth_total` truth users; `harmonic` is
@@ -146,69 +179,128 @@ def average_precision(prediction: RankedPrediction, truth: Cascade) -> float:
     return _prefix_ap(ranked, set(truth.infected), truth.num_infected)
 
 
+def _model_ids(model: EmbeddingModel, test: CascadeDataset) -> np.ndarray:
+    """Model id of each test user id, -1 for a token the model lacks; ids
+    are shared when the model has no token table."""
+    if not model.tokens:
+        return np.arange(len(test.tokens), dtype=np.int64)
+    ids = map(model.user_id, test.tokens)
+    return np.fromiter((-1 if i is None else i for i in ids), np.int64, len(test.tokens))
+
+
 def evaluate(
     model: EmbeddingModel, test: CascadeDataset, threads: int | None = None
 ) -> EvalReport:
     """Score every test cascade; MAP is the mean AP over all of them.
 
-    Each distinct known source is ranked once, on its first cascade, into a
-    `{user: position}` map, and every cascade of that source is scored from
-    its truth users' positions in that map: O(truth users) per cascade, with
-    `_prefix_ap`'s arithmetic. Cascades whose source is unknown to the
-    model score 0 and are flagged rather than skipped. Test users are
-    matched to the model through their string tokens when the model carries
-    a token table; otherwise ids are assumed shared. `threads` is accepted
-    for compatibility and ignored: scoring runs serially, since a thread
-    pool only adds GIL hand-offs.
+    Each distinct known source is ranked once by `rank_for_source`. Every
+    ranked candidate gets a (source, user) key, and one sort of the keys and
+    one `searchsorted` give each truth user its 1-based position, if ranked.
+    Sorted by cascade and position, truth user number `hits` found at
+    position k adds hits/k, and one `bincount` sums each cascade's terms in
+    ascending k: `_prefix_ap`'s additions in its order, so each AP is
+    bit-equal to it. Cascades whose source is unknown to the model score 0
+    and are flagged rather than skipped. Test users are matched to the model
+    through their string tokens when the model carries a token table;
+    otherwise ids are assumed shared. `threads` is accepted for
+    compatibility and ignored: scoring runs serially.
     """
     if test.num_cascades == 0:
         raise ValueError("cannot evaluate an empty test set")
-    # test user id -> model user id, None for a token the model lacks
-    to_model = ([model.user_id(token) for token in test.tokens] if model.tokens
-                else range(len(test.tokens)))
-    known = model.influence_users()
-    # per ranked source: {user: 1-based position} and the harmonic number H_N
-    ranked: dict[int, tuple[dict[int, int], float]] = {}
-    scores = []
-    for cascade in test.cascades:
-        truth_total = cascade.num_infected
-        source = to_model[cascade.source]
-        if source not in known:
-            scores.append(CascadeScore(cascade.cascade_id, 0.0, 0, truth_total,
-                                       source_known=False))
-            continue
-        entry = ranked.get(source)
-        if entry is None:
+    offsets = test.offsets
+    cascades = len(offsets) - 1
+    truth_total = np.diff(offsets) - 1
+    users = _model_ids(model, test)[test.flat_users]  # -1: not in the model
+    distinct, source_at = np.unique(users[offsets[:-1]], return_inverse=True)
+    # Rank each known source once: part p holds the ranked model ids of
+    # source distinct[known[p]], in rank order.
+    known_users = model.influence_users()
+    known, parts, harmonic = [], [], []
+    for i, source in enumerate(distinct.tolist()):
+        if source in known_users:
             ranking = rank_for_source(model, source).ranking
-            positions = {user: k for k, (user, _) in enumerate(ranking, start=1)}
-            harmonic = math.fsum(1.0 / k for k in range(1, len(positions) + 1))
-            entry = ranked[source] = positions, harmonic
-        positions, harmonic = entry
-        found = sorted({positions[u] for u in map(to_model.__getitem__, cascade.infected)
-                        if u in positions})
-        scores.append(CascadeScore(
-            cascade.cascade_id,
-            _positions_ap(found, truth_total),
-            len(positions),
-            truth_total - len(found),
-            chance_ap=_chance_ap(len(found), truth_total, len(positions), harmonic),
-        ))
-    mean_ap = sum(s.ap for s in scores) / len(scores)
-    return EvalReport(tuple(scores), mean_ap)
+            known.append(i)
+            parts.append(np.fromiter(map(itemgetter(0), ranking), np.int64, len(ranking)))
+            harmonic.append(math.fsum(1.0 / k for k in range(1, len(ranking) + 1)))
+    part_of = np.full(len(distinct), -1, dtype=np.int64)
+    part_of[known] = np.arange(len(known))
+    part = part_of[source_at]  # per cascade, -1 for an unknown source
+    # per part, then a last entry that part -1 reads: no candidates, H_0 = 0
+    sizes = np.array([len(ranked) for ranked in parts] + [0], dtype=np.int64)
+    candidate_count = sizes[part]
+    harmonic = np.array(harmonic + [0.0])[part]
+    # Key a candidate by part · (width + 1) + user; users no truth user can
+    # be (past the largest truth id, or negative) share the key of slot width.
+    width = int(users.max()) + 1
+    key = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    del parts
+    np.copyto(key, width, where=(key < 0) | (key > width))
+    key += np.repeat(np.arange(len(sizes), dtype=np.int64) * (width + 1), sizes)
+    ordered, index = _sorted_runs(key)  # index: place in the concatenated rankings
+    del key
+    # every infected user of a known-source cascade, with its truth key
+    infected = np.ones(len(users), dtype=bool)
+    infected[offsets[:-1]] = False
+    cascade_of = np.repeat(np.arange(cascades), truth_total + 1)
+    infected &= part[cascade_of] >= 0
+    infected &= users >= 0
+    truth_cascade = cascade_of[infected]
+    del cascade_of
+    truth_key = part[truth_cascade] * (width + 1) + users[infected]
+    del infected
+    at = np.searchsorted(ordered, truth_key)
+    at[at == len(ordered)] = 0
+    found = ordered[at] == truth_key if len(ordered) else np.zeros(len(at), dtype=bool)
+    del truth_key
+    truth_cascade = truth_cascade[found]
+    # 1-based position within the cascade's source ranking
+    position = index[at[found]] - (np.cumsum(sizes) - sizes)[part[truth_cascade]] + 1
+    del at, found, ordered, index
+    order = np.lexsort((position, truth_cascade))
+    truth_cascade = truth_cascade[order]
+    position = position[order]
+    del order
+    hits_found = np.bincount(truth_cascade, minlength=cascades)
+    # hits: rank of each found truth user within its cascade, from 1
+    hits = np.arange(1, len(position) + 1) - np.repeat(
+        np.cumsum(hits_found) - hits_found, hits_found)
+    ap = np.bincount(truth_cascade, weights=hits / position, minlength=cascades) / truth_total
+    chance_ap = _chance_aps(hits_found, truth_total, candidate_count, harmonic)
+    # a running sum in cascade order, as a loop over the scores would add
+    mean_ap = sum(ap.tolist()) / cascades
+    return EvalReport(test.cascade_ids, ap, candidate_count, truth_total - hits_found,
+                      part >= 0, chance_ap, mean_ap)
+
+
+def _chance_aps(found, truth_total, candidates, harmonic) -> np.ndarray:
+    """`_chance_ap` over columns, with its operations in its order; entries
+    with nothing found are 0, as there."""
+    found, truth_total = found.astype(np.float64), truth_total.astype(np.float64)
+    candidates = candidates.astype(np.float64)
+    spread = np.zeros(len(found))
+    many = found > 1
+    spread[many] = ((found[many] - 1) / (candidates[many] - 1)
+                    * (candidates[many] - harmonic[many]))
+    chance = np.zeros(len(found))
+    some = found > 0
+    chance[some] = (found[some] / truth_total[some] * (spread[some] + harmonic[some])
+                    / candidates[some])
+    return chance
 
 
 def report_json_lines(report: EvalReport) -> str:
-    """One JSON object per cascade, then a summary object with map and counts."""
+    """One JSON object per cascade, then a summary object with map and counts.
+
+    Rows are formatted as `json.dumps` would write them: the id through
+    its ASCII string encoder, floats by `repr`, ints in decimal.
+    """
+    encode = json.encoder.encode_basestring_ascii
     lines = [
-        json.dumps(
-            {
-                "id": s.cascade_id,
-                "ap": s.ap,
-                "candidates": s.candidate_count,
-                "unseen": s.unseen_count,
-            }
-        )
-        for s in report.per_cascade
+        f'{{"id": {encode(cascade_id)}, "ap": {ap!r}, "candidates": {candidates},'
+        f' "unseen": {unseen}}}'
+        for cascade_id, ap, candidates, unseen in zip(
+            report.cascade_ids, report.ap.tolist(), report.candidate_count.tolist(),
+            report.unseen_count.tolist())
     ]
     lines.append(
         json.dumps(
@@ -227,8 +319,10 @@ def report_tsv(report: EvalReport) -> str:
     """TSV rows mirroring the JSON report; summary on a '#' trailer line."""
     rows = ["cascade_id\tap\tcandidates\tunseen"]
     rows.extend(
-        f"{s.cascade_id}\t{s.ap!r}\t{s.candidate_count}\t{s.unseen_count}"
-        for s in report.per_cascade
+        f"{cascade_id}\t{ap!r}\t{candidates}\t{unseen}"
+        for cascade_id, ap, candidates, unseen in zip(
+            report.cascade_ids, report.ap.tolist(), report.candidate_count.tolist(),
+            report.unseen_count.tolist())
     )
     rows.append(
         f"#map\t{report.map!r}\tcascades={report.num_cascades}"

@@ -48,7 +48,6 @@ from typing import Mapping
 
 import numpy as np
 
-from casembed.combinations import _unique_first
 from casembed.data import _atomic_write
 
 __all__ = [
@@ -492,7 +491,7 @@ def _check_ids(ids: np.ndarray, start: int, record: int, id_limit: int | None):
     if not ((ordered[1:] == ordered[:-1]).any()
             or (id_limit is not None and ordered[-1] >= id_limit)):
         return
-    _, first, inverse, _ = _unique_first(ids)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     repeat = first[inverse] != np.arange(len(ids))  # every occurrence after an id's first
     past = ids >= id_limit if id_limit is not None else False
     k = int(np.argmax(repeat | past))

@@ -6,7 +6,8 @@ Per-test `@settings` still choose their own `max_examples`.
 
 `traced_peak` measures the memory a call allocates at its peak, as
 tracemalloc sees it; numpy reports its array buffers to tracemalloc, so
-the figure is deterministic.
+the figure is deterministic. `traced` also reports what the call leaves
+allocated, its result included.
 """
 
 import tracemalloc
@@ -18,8 +19,9 @@ settings.register_profile("casembed", deadline=None, derandomize=True)
 settings.load_profile("casembed")
 
 
-def _traced_peak(function, *args):
-    """(result, peak bytes allocated during the call above the level at its start)."""
+def _traced(function, *args):
+    """(result, bytes still allocated after the call, peak bytes allocated
+    during it), both above the level at its start."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -27,10 +29,22 @@ def _traced_peak(function, *args):
         level = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = function(*args)
-        return result, tracemalloc.get_traced_memory()[1] - level
+        live, peak = tracemalloc.get_traced_memory()
+        return result, live - level, peak - level
     finally:
         if started:
             tracemalloc.stop()
+
+
+def _traced_peak(function, *args):
+    """(result, peak bytes allocated during the call above the level at its start)."""
+    result, _, peak = _traced(function, *args)
+    return result, peak
+
+
+@pytest.fixture()
+def traced():
+    return _traced
 
 
 @pytest.fixture()

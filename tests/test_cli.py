@@ -405,3 +405,37 @@ class TestParser:
         assert run("eval", "--model", out / "world.iaem",
                    "--test", out / "synthetic.cascades") == 0
         assert "MAP 1.000000" in capsys.readouterr().out
+
+
+_IMPORTS_MA = """\
+import sys
+import casembed.cli
+code = casembed.cli.main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(
+    subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+                   capture_output=True, text=True).stdout.strip() != "False",
+    reason="import numpy alone imports numpy.ma (numpy < 2)",
+)
+def test_commands_do_not_import_numpy_ma(corpus, tmp_path):
+    """Start-up cost: importing numpy.ma adds about 1 MB of peak RSS, and
+    np.unique without return flags imports it through np.ma.is_masked
+    (numpy 2.4), as can np.isin. No command needs it."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    steps = [
+        ["split", "--input", corpus, "--out-dir", tmp_path],
+        ["train", "--train", tmp_path / "train.cascades", "--dim", 2, "--epochs", 2,
+         "--model-out", tmp_path / "m.iaem", "--log", tmp_path / "m.log"],
+        ["eval", "--model", tmp_path / "m.iaem", "--test", tmp_path / "test.cascades",
+         "--out", tmp_path / "report.jsonl"],
+    ]
+    for argv in steps:
+        proc = subprocess.run([sys.executable, "-c", _IMPORTS_MA, *map(str, argv)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False", (argv[0], proc.stdout)

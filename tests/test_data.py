@@ -1,3 +1,4 @@
+import io
 import os
 import re
 import stat
@@ -294,6 +295,9 @@ def test_parse_agrees_with_from_token_rows(rows):
     built = CascadeDataset.from_token_rows(rows)
     assert parsed.tokens == built.tokens
     assert parsed.cascades == built.cascades
+    assert parsed.cascade_ids == built.cascade_ids == tuple(cascade_id for cascade_id, _ in rows)
+    for name in ("flat_users", "offsets"):
+        np.testing.assert_array_equal(getattr(parsed, name), getattr(built, name), strict=True)
 
 
 @settings(max_examples=100)
@@ -357,3 +361,102 @@ class TestSplit:
         )
         assert combined == sorted(c.cascade_id for c in ds)
         assert train.num_cascades + test.num_cascades == ds.num_cascades
+
+
+def _reference_parse(text):
+    """Line-by-line parse with a `Cascade` per line: (tokens, [(id, users)]),
+    raising as each bad line is read."""
+    ids, rows = {}, []
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        cascade_id, tab, rest = line.partition("\t")
+        user_tokens = rest.split()
+        if not tab or not cascade_id.strip() or len(user_tokens) < 2:
+            raise CascadeParseError(
+                f"line {lineno}: expected '<cascade_id><TAB><source> <user> [...]',"
+                f" got {line!r}"
+            )
+        if len(set(user_tokens)) < len(user_tokens):
+            tok = next(tok for i, tok in enumerate(user_tokens) if tok in user_tokens[:i])
+            raise CascadeValidationError(
+                f"line {lineno}: duplicate user {tok!r} in cascade {cascade_id!r}"
+            )
+        rows.append((cascade_id, tuple(ids.setdefault(tok, len(ids)) for tok in user_tokens)))
+    return tuple(ids), rows
+
+
+_any_line = st.one_of(
+    _row.map(lambda row: _lines([row])[:-1]),
+    _repeat_row.map(lambda row: _lines([row])[:-1]),
+    _malformed, _comment, _blank,
+)
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(st.tuples(_any_line, st.sampled_from(["\n", "\r\n", "\r"])),
+                      max_size=8))
+def test_parse_matches_the_line_by_line_reference(lines):
+    """Result, or the first bad line's error class, message and line number."""
+    text = "".join(line + end for line, end in lines)
+    try:
+        expected = _reference_parse(text)
+    except CascadeError as error:
+        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+            parse_cascade_file(text)
+        return
+    parsed = parse_cascade_file(text)
+    assert (parsed.tokens, [(c.cascade_id, c.users) for c in parsed]) == expected
+
+
+def _reference_split(dataset, test_fraction, seed):
+    """Cascade membership as a set of drawn indices, in dataset order."""
+    order = np.random.default_rng(seed).permutation(dataset.num_cascades)
+    test_idx = set(map(int, order[: int(test_fraction * dataset.num_cascades + 0.5)]))
+    rows = [(c.cascade_id, c.users) for c in dataset]
+    return ([row for i, row in enumerate(rows) if i not in test_idx],
+            [row for i, row in enumerate(rows) if i in test_idx])
+
+
+@settings(max_examples=150)
+@given(rows=st.lists(_row, min_size=2, max_size=30),
+       test_fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_split_matches_the_membership_reference(rows, test_fraction, seed):
+    dataset = CascadeDataset.from_token_rows(rows)
+    train, test = split_dataset(dataset, test_fraction, seed)
+    got = ([(c.cascade_id, c.users) for c in train], [(c.cascade_id, c.users) for c in test])
+    assert got == _reference_split(dataset, test_fraction, seed)
+    assert train.tokens == test.tokens == dataset.tokens
+
+
+def _planted_text(sources, pool, per_source, length, seed):
+    """`per_source` cascades per source, each of `length` users drawn from
+    the source's own pool of `pool` users."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for s in range(sources):
+        for k in range(per_source):
+            users = rng.choice(pool, size=length, replace=False) + s * pool
+            lines.append(f"s{s}-c{k}\ts{s} " + " ".join(f"u{u}" for u in users.tolist()) + "\n")
+    return "".join(lines)
+
+
+# Bounds fixed before the columnar parse was written, in bytes per token of
+# the file; the line-by-line parse with a `Cascade` per line measured
+# 178 / 243 (wide) and 36.5 / 65 (narrow).
+@pytest.mark.parametrize("shape, live_bound, peak_bound", [
+    ((40, 500, 50, 5), 120, 160),
+    ((20, 100, 50, 20), 30, 50),
+], ids=["wide", "narrow"])
+def test_parse_memory_per_token(traced, shape, live_bound, peak_bound):
+    """What a parsed dataset holds, and the parse's peak, per file token.
+    Wide: most users appear once, so the token table dominates; narrow:
+    few distinct users, so the per-token columns do."""
+    text = _planted_text(*shape, seed=1)
+    sources, _, per_source, length = shape
+    tokens = sources * per_source * (length + 1)
+    dataset, live, peak = traced(parse_cascade_file, text)
+    assert dataset.num_cascades == sources * per_source
+    assert live <= live_bound * tokens
+    assert peak <= peak_bound * tokens

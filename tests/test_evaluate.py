@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from casembed.data import Cascade, CascadeDataset
 from casembed.evaluate import (
+    EvalReport,
     RankedPrediction,
     _chance_ap,
     _prefix_ap,
@@ -369,3 +371,99 @@ class TestChanceMap:
         assert report.chance_map == pytest.approx(sum(expected) / 3, rel=1e-12)
         h4 = 1 + 1 / 2 + 1 / 3 + 1 / 4
         assert expected[0] == pytest.approx((1 / 3 * (4 - h4) + h4) / 4, rel=1e-12)
+
+
+def _scored_by_loop(model, test):
+    """Per-cascade reference: rank the source, score with `_prefix_ap` and
+    `_chance_ap`; then MAP and chance MAP as running sums in cascade order."""
+    rows = []
+    for cascade in test:
+        users = [model.user_id(test.token(u)) if model.tokens else u for u in cascade.users]
+        source, truth_total = users[0], cascade.num_infected
+        if source is None or model.influence_point(source) is None:
+            rows.append(("unknown", cascade.cascade_id, 0.0, 0, truth_total, 0.0))
+            continue
+        ranked = [u for u, _ in rank_for_source(model, source).ranking]
+        truth = {u for u in users[1:] if u is not None}
+        found = len(truth & set(ranked))
+        harmonic = math.fsum(1.0 / k for k in range(1, len(ranked) + 1))
+        rows.append(("known", cascade.cascade_id, _prefix_ap(ranked, truth, truth_total),
+                     len(ranked), truth_total - found,
+                     _chance_ap(found, truth_total, len(ranked), harmonic)))
+    aps = [row[2] for row in rows]
+    chances = [row[5] for row in rows]
+    return rows, sum(aps) / len(aps), sum(chances) / len(chances)
+
+
+def _scored(report):
+    rows = [("known" if s.source_known else "unknown", s.cascade_id, s.ap, s.candidate_count,
+             s.unseen_count, s.chance_ap) for s in report.per_cascade]
+    return rows, report.map, report.chance_map
+
+
+def _hex(scored):
+    rows, map_, chance_map = scored
+    return ([tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows],
+            map_.hex(), chance_map.hex())
+
+
+@settings(max_examples=300)
+@given(model=_tied_models(), data=st.data())
+def test_evaluate_matches_the_per_cascade_loop_bit_for_bit(model, data):
+    """With or without a token table. Through one, test tokens t8 and t9
+    are unknown to the model, and the test set interns tokens in its own
+    order; without one, ids 8 and 9 are never embedded."""
+    if data.draw(st.booleans(), label="tokens"):
+        model = EmbeddingModel._from_blocks(
+            model.dimension, model.variant, model.coords, model._influence_block,
+            model._space_blocks,
+            None if model.variant == "single_space" else model._shared_block,
+            tuple(f"t{i}" for i in range(8)))
+    users = st.lists(st.integers(0, 9), min_size=2, max_size=6, unique=True)
+    rows = [(f"c{k}", [f"t{u}" for u in row])
+            for k, row in enumerate(data.draw(st.lists(users, min_size=1, max_size=8)))]
+    if model.tokens:
+        test = CascadeDataset.from_token_rows(rows)
+    else:
+        test = CascadeDataset([Cascade(cid, tuple(int(t[1:]) for t in row)) for cid, row in rows],
+                              [f"t{i}" for i in range(10)])
+    report = evaluate(model, test)
+    assert _hex(_scored(report)) == _hex(_scored_by_loop(model, test))
+
+
+def test_evaluate_memory_is_linear_in_truth_and_ranked_candidates(traced):
+    """40 sources with 500-user spaces, 400 test cascades of 5 infected.
+    Bound fixed before the array scoring was written: 40 bytes per truth
+    user plus ranked candidate; per-source position dicts measured 86."""
+    rng = np.random.default_rng(2)
+    sources, pool = 40, 500
+    tokens = [f"s{s}" for s in range(sources)] + [f"u{u}" for u in range(sources * pool)]
+    # user u has token id and coordinate row sources + u
+    spaces = {s: {sources + u: sources + u for u in range(s * pool, (s + 1) * pool)}
+              for s in range(sources)}
+    model = EmbeddingModel(8, "independent", rng.standard_normal((sources + sources * pool, 8)),
+                           {s: s for s in range(sources)}, spaces=spaces, tokens=tuple(tokens))
+    rows = [(f"s{s}-c{k}", [f"s{s}"] + [f"u{u}" for u in
+                                        (rng.choice(pool, 5, replace=False) + s * pool).tolist()])
+            for s in range(sources) for k in range(10)]
+    test = CascadeDataset.from_token_rows(rows)
+    report, _, peak = traced(evaluate, model, test)
+    truth = 5 * len(rows)
+    ranked = sources * pool
+    assert report.num_unknown_sources == 0 and report.total_unseen == 0
+    assert peak <= 40 * (truth + ranked)
+
+
+@settings(max_examples=100)
+@given(ids=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=6),
+       aps=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+def test_report_rows_are_what_json_dumps_writes(ids, aps):
+    """Any id, including quotes, backslashes, control and non-ASCII text."""
+    n = len(ids)
+    report = EvalReport(ids, aps[:n], range(n), range(n, 2 * n), [True] * n, [0.0] * n,
+                        sum(aps[:n]) / n)
+    rows = report_json_lines(report).splitlines()[:-1]
+    assert rows == [json.dumps({"id": i, "ap": ap, "candidates": k, "unseen": n + k})
+                    for k, (i, ap) in enumerate(zip(ids, aps))]
+    assert (report == EvalReport(ids, aps[:n], range(n), range(n, 2 * n), [True] * n,
+                                 [0.0] * n, sum(aps[:n]) / n)) is True
