@@ -17,7 +17,8 @@ zero, so sparse candidate coverage is penalized rather than skipped.
 by (source, user) and sorts the keys once; one `searchsorted` finds every
 truth user's position; and one `bincount` adds each cascade's hits/k terms
 in ascending k, the additions `_prefix_ap` makes, in its order. Its cost is
-O(truth users + Σ ranked candidates), the sum over distinct known sources.
+O(truth users + Σ ranked candidates), the sum over distinct known sources,
+up to the log factor of its sorts.
 
 Each score also carries `chance_ap`, the expected AP of a uniformly random
 ranking of the same candidates. For r of the R truth users among N
