@@ -13,11 +13,15 @@ a tie drops both (keeping both would impose contradictory constraints).
 
 A CombinationTable keeps its entries as parallel numpy columns, which
 `build_table` fills directly; `Combination` views are made only on demand.
-A table built from entries proves its keys distinct with one sort; the
-build's keys are distinct by construction, so its table skips that sort.
-It also numbers the distinct (source, user) pairs its combinations read,
-the identity of a point in a source's susceptibility space; `build_table`
-hands over the numbering it merges triples with.
+Every table numbers the distinct (source, user) pairs its combinations
+read, the identity of a point in a source's susceptibility space.
+`_distinct_rows` numbers distinct (a, b) rows for the whole set-up (these
+pairs, a model's (space, user) points, the packed slots) with one
+`np.lexsort` and no key packed from ids, so ids may take any int64 value.
+A table built from entries numbers its pairs with it, then proves its
+keys distinct with one sort of a key made of two pair numbers;
+`build_table` hands over the numbering it merges triples with, and its
+keys are distinct by construction, so its table skips that sort.
 
 `build_table` reads a dataset's columns: each triple's positions come from
 the cascade offsets and a catalogue of ordered pairs per cascade length,
@@ -106,23 +110,23 @@ class Combination:
         return (self.source, self.earlier, self.later)
 
 
-def _dense_key(columns: list[np.ndarray]) -> np.ndarray | None:
-    """One int64 per row, equal for two rows exactly when all their columns
-    are: mixed-radix digits offset by each column's minimum. None when the
-    columns' ranges multiply past int64."""
-    if not len(columns[0]):
-        return np.empty(0, dtype=np.int64)
-    lows = [int(c.min()) for c in columns]
-    spans = [int(c.max()) - low + 1 for c, low in zip(columns, lows)]
-    if math.prod(spans) > np.iinfo(np.int64).max:
-        return None
-    key = columns[0] - lows[0]
-    for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
-        # in place, in an order that keeps every partial sum within int64
-        key *= span
-        key -= low
-        key += column
-    return key
+def _distinct_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct (a, b) rows densely, in (a, b) order.
+
+    Returns `first`, the index of each distinct row's first occurrence, in
+    (a, b) order, and `at`, each row's number, so that row i is
+    (a[first[at[i]]], b[first[at[i]]]). One `np.lexsort`; the columns take
+    any int64 values, since no key is packed from them.
+    """
+    order = np.lexsort((b, a))  # stable: equal rows keep their order
+    a, b = a[order], b[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    new[1:] |= b[1:] != b[:-1]
+    at = np.empty(len(order), dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    return order[new], at
 
 
 class CombinationTable:
@@ -138,7 +142,10 @@ class CombinationTable:
     (source, user) order: pair p is (`pair_source[p]`, `pair_user[p]`), and
     combination n reads pairs `earlier_pair[n]` and `later_pair[n]`. Only
     pairs some combination reads are numbered. `build_table` hands the
-    numbering over; a table built from entries computes it on first use.
+    numbering over; a table built from entries numbers its pairs with
+    `_distinct_rows` and then proves its keys distinct with one sort of
+    `earlier_pair * P + later_pair` for its P pairs: a key below P², equal
+    for two rows exactly when they share (source, earlier, later).
     """
 
     def __init__(
@@ -150,8 +157,18 @@ class CombinationTable:
         if not isinstance(entries, np.ndarray):
             entries = [(c.source, c.earlier, c.later, c.count, c.avg_margin) for c in entries]
         rows = np.asarray(entries, dtype=ENTRY)
-        self._set_columns([rows[name].copy() for name in ENTRY.names], mode, tokens)
-        self._check_distinct()
+        columns = [rows[name].copy() for name in ENTRY.names]
+        sources = np.concatenate([columns[0], columns[0]])
+        users = np.concatenate(columns[1:3])
+        first, at = _distinct_rows(sources, users)
+        n = len(rows)
+        self._set_columns(columns, mode, tokens, (sources[first], users[first], at[:n], at[n:]))
+        key = self.earlier_pair * len(first) + self.later_pair
+        ordered = np.sort(key)
+        repeat = ordered[1:] == ordered[:-1]
+        if repeat.any():
+            i = np.argmax(key == ordered[1:][repeat][0])
+            raise ValueError(f"combination {tuple(c[i].item() for c in columns[:3])} occurs twice")
 
     @classmethod
     def _from_build(cls, columns, mode, tokens, pairs) -> CombinationTable:
@@ -168,18 +185,16 @@ class CombinationTable:
         gives, at no cost to the peak.
         """
         table = cls.__new__(cls)
-        table._set_columns(columns, mode, tokens)
-        for column in pairs:
-            column.flags.writeable = False
-        table._pairs = pairs
+        table._set_columns(columns, mode, tokens, pairs)
         return table
 
-    def _set_columns(self, columns: list[np.ndarray], mode: str, tokens) -> None:
+    def _set_columns(self, columns: list[np.ndarray], mode: str, tokens, pairs) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        for column in columns:
+        for column in (*columns, *pairs):
             column.flags.writeable = False
         self.source, self.earlier, self.later, self.count, self.avg_margin = columns
+        self.pair_source, self.pair_user, self.earlier_pair, self.later_pair = pairs
         self._columns = columns
         self.mode = mode
         self.tokens: tuple[str, ...] | None = None if tokens is None else tuple(tokens)
@@ -188,60 +203,6 @@ class CombinationTable:
         if bad.any():
             # raises, naming the broken invariant
             Combination(*(c[np.argmax(bad)].item() for c in columns))
-
-    def _check_distinct(self) -> None:
-        """Raise if two rows share a (source, earlier, later) key."""
-        columns = self._columns
-        key = _dense_key(columns[:3])
-        if key is None:  # the id ranges overflow int64: compare the columns
-            order = np.lexsort(columns[2::-1])  # by source, then earlier, then later
-            repeat = (np.diff(np.stack(columns[:3])[:, order]) == 0).all(axis=0)
-            if repeat.any():
-                self._repeated(order[1:][repeat][0])
-        else:
-            ordered = np.sort(key)
-            repeat = ordered[1:] == ordered[:-1]
-            if repeat.any():
-                self._repeated(np.argmax(key == ordered[1:][repeat][0]))
-
-    def _repeated(self, n):
-        key = tuple(c[n].item() for c in self._columns[:3])
-        raise ValueError(f"combination {key} occurs twice")
-
-    @cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        sources = np.concatenate([self.source, self.source])
-        users = np.concatenate([self.earlier, self.later])
-        key = _dense_key([sources, users])
-        if key is None:  # the id ranges overflow int64: compare the columns
-            key = np.stack([sources, users], axis=1)
-            _, at = np.unique(key, axis=0, return_inverse=True)
-        else:
-            _, at = np.unique(key, return_inverse=True)
-        # Any occurrence of a pair names it: every occurrence holds the same ids.
-        occurrence = np.empty(int(at.max(initial=-1)) + 1, dtype=np.intp)
-        occurrence[at] = np.arange(len(at))
-        n = len(self)
-        pairs = sources[occurrence], users[occurrence], at[:n], at[n:]
-        for column in pairs:
-            column.flags.writeable = False
-        return pairs
-
-    @property
-    def pair_source(self) -> np.ndarray:
-        return self._pairs[0]
-
-    @property
-    def pair_user(self) -> np.ndarray:
-        return self._pairs[1]
-
-    @property
-    def earlier_pair(self) -> np.ndarray:
-        return self._pairs[2]
-
-    @property
-    def later_pair(self) -> np.ndarray:
-        return self._pairs[3]
 
     @cached_property
     def _rows(self) -> dict[Key, int]:
@@ -341,11 +302,12 @@ def build_table(
         return CombinationTable([], mode=mode, tokens=tokens)
     # Number each position's (source, user) pair densely, in (source, user)
     # order, so that a triple's key fits in int64.
-    width = int(flat.max()) + 1
     starts = offsets[:-1]
     cascade_source = np.repeat(flat[starts], infected + 1)
-    pair_keys, pair = np.unique(cascade_source * width + flat, return_inverse=True)
-    del cascade_source
+    first, pair = _distinct_rows(cascade_source, flat)
+    pair_source, pair_user = cascade_source[first], flat[first]
+    pair_count = len(first)
+    del cascade_source, first
     # One catalogue of every ordered pair of infected positions, with its
     # margin, per distinct cascade length: length n's pairs start at base[n].
     # (a set: a plain np.unique would import numpy.ma, about 1 MB of start-up)
@@ -381,7 +343,7 @@ def build_table(
     key = np.minimum(earlier, later)
     np.maximum(earlier, later, out=later)
     del earlier
-    key *= len(pair_keys)
+    key *= pair_count
     key += later
     del later
     key <<= 1
@@ -434,17 +396,16 @@ def build_table(
     del kept
     flipped = (key & 1).astype(bool)
     key >>= 1
-    low, high = np.divmod(key, len(pair_keys))
+    low, high = np.divmod(key, pair_count)
     del key
     earlier_pair = np.where(flipped, high, low)
     later_pair = np.where(flipped, low, high)
     del low, high, flipped
-    pair_source, pair_user = np.divmod(pair_keys, width)
     columns = [
         pair_source[earlier_pair], pair_user[earlier_pair], pair_user[later_pair], counts, means
     ]
     # Renumber the pairs kept rows read, keeping their (source, user) order.
-    used = np.zeros(len(pair_keys), dtype=bool)
+    used = np.zeros(pair_count, dtype=bool)
     used[earlier_pair] = True
     used[later_pair] = True
     renumber = np.cumsum(used) - 1

@@ -31,6 +31,7 @@ cascades.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -185,8 +186,8 @@ def _model_ids(model: EmbeddingModel, test: CascadeDataset) -> np.ndarray:
     are shared when the model has no token table."""
     if not model.tokens:
         return np.arange(len(test.tokens), dtype=np.int64)
-    ids = map(model.user_id, test.tokens)
-    return np.fromiter((-1 if i is None else i for i in ids), np.int64, len(test.tokens))
+    ids = map(model._token_ids.get, test.tokens, itertools.repeat(-1))
+    return np.fromiter(ids, np.int64, len(test.tokens))
 
 
 def evaluate(

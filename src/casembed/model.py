@@ -48,6 +48,7 @@ from typing import Mapping
 
 import numpy as np
 
+from casembed.combinations import _distinct_rows
 from casembed.data import _atomic_write
 
 __all__ = [
@@ -340,10 +341,11 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
     near zero so most hinges start active. `config` only needs `dimension`
     and `variant` attributes.
 
-    `table` must carry `CombinationTable`'s pair numbering, which
-    `build_table` hands over and a table built from entries computes on
-    first use. Allocation then sorts only the table's sources and pairs,
-    never its combinations.
+    Allocation reads `CombinationTable`'s pair numbering and sorts only the
+    table's sources and the S + P (space, user) points they give, never its
+    combinations. Points are numbered with `_distinct_rows`, so ids may
+    take any int64 value: each point keeps its own id, and `save_model`
+    rejects ids a model file cannot hold.
     """
     dim = config.dimension
     variant = config.variant
@@ -358,8 +360,7 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
     # table's pair numbering names the (source, user) pairs read, so first
     # appearances come from a scatter-min per source and per pair, and only
     # the S + P candidate points are sorted. Space 0 holds influence points;
-    # in independent models source k (in id order) owns space k + 1. Keys fit
-    # int64 for u32 (savable) ids.
+    # in independent models source k (in id order) owns space k + 1.
     n = len(table)
     sources, pair_space = np.unique(table.pair_source, return_inverse=True)
     position = np.arange(0, 3 * n, 3)
@@ -372,17 +373,17 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
     if variant != "single_space":
         space[len(sources):] = 1 + pair_space if variant == "independent" else 1
     users = np.concatenate([sources, table.pair_user])
-    base = int(users.max(initial=0)) + 1
-    keys, at = np.unique(space * base + users, return_inverse=True)
-    point_first = np.full(len(keys), 3 * n)
+    point, at = _distinct_rows(space, users)
+    point_first = np.full(len(point), 3 * n)
     np.minimum.at(point_first, at, first)  # a single_space user point may also be a source's
-    point_space, point_user = np.divmod(keys[np.argsort(point_first)], base)
+    point = point[np.argsort(point_first)]
+    point_space, point_user = space[point], users[point]
     # Group rows by space, ascending within each; a block's order is its rows'
     # order, and blocks follow their first rows.
     by_space = np.argsort(point_space, kind="stable")
     grouped = point_space[by_space]
     starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-    bounds = np.append(starts, len(keys))
+    bounds = np.append(starts, len(point))
     blocks = {}
     for k in np.argsort(by_space[starts], kind="stable").tolist():
         rows = by_space[bounds[k] : bounds[k + 1]]
@@ -396,7 +397,7 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
         shared = blocks.pop(1, empty)
 
     half = 0.5 / dim
-    coords = rng.uniform(-half, half, size=(len(keys), dim))
+    coords = rng.uniform(-half, half, size=(len(point), dim))
     return EmbeddingModel._from_blocks(dim, variant, coords, influence, spaces, shared,
                                        tuple(table.tokens or ()))
 

@@ -16,9 +16,10 @@ gaps from them, counts how often each slot serves as an active earlier or
 later distance, and scatters one weighted difference per slot. That costs
 O(N + S·D) instead of O(N·D). The slot index is built once per `train`
 from the table's pair numbering (see `CombinationTable`), which
-`build_table` computes while merging triples: model rows are looked up and
-slots numbered once per distinct (source, user) pair, and each combination
-only gathers its two pairs' slots.
+`build_table` computes while merging triples: model rows are looked up
+once per distinct (source, user) pair, `_distinct_rows` numbers the slots
+in (influence row, susceptibility row) order with one lexsort over those
+pairs, and each combination only gathers its two pairs' slots.
 
 An epoch's scatter writes each slot's gradient and its negation straight
 into one preallocated (2S, D) weights buffer, frees the slot differences,
@@ -45,7 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from casembed.combinations import MODES, Combination, CombinationTable, _check_mu, build_table
+from casembed.combinations import (
+    MODES,
+    Combination,
+    CombinationTable,
+    _check_mu,
+    _distinct_rows,
+    build_table,
+)
 from casembed.data import CascadeDataset
 from casembed.model import VARIANTS, EmbeddingModel, ModelError, init_model
 
@@ -156,11 +164,10 @@ class _PackedTable:
     influence row `slot_x[k]` with susceptibility row `slot_y[k]`;
     combination n reads the distances of slots `earlier_slot[n]` and
     `later_slot[n]`; `margins` is the table's `avg_margin` column. Slots
-    are sorted by their key `slot_x * P + slot_y` for P model points, which
-    fixes the order in which gradients accumulate. `rows` lists the
-    influence rows of all slots, then their susceptibility rows;
-    `scatter_index` holds the flat coordinate index of every (row,
-    dimension) entry of `rows`. At squared distances of `distance_limit` or
+    are sorted by (`slot_x`, `slot_y`), which fixes the order in which
+    gradients accumulate. `rows` lists the influence rows of all slots,
+    then their susceptibility rows; `scatter_index` holds the flat
+    coordinate index of every (row, dimension) entry of `rows`. At squared distances of `distance_limit` or
     more, float64 rounding in a gap reaches the smallest margin.
     """
 
@@ -177,9 +184,8 @@ class _PackedTable:
 def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
     """Resolve the table to `model`'s slots, for any model holding its rows.
 
-    Works per pair of the table's pair numbering (`build_table` hands it
-    over; a table built from entries computes it on first use): the model's
-    rows are looked up and slots numbered by sorting the P pair keys once,
+    Works per pair of the table's pair numbering: the model's rows are
+    looked up and slots numbered by `_distinct_rows` over the P pairs' rows,
     and each combination gathers the slots of its earlier and later pairs.
     Nothing of length N is sorted.
     """
@@ -190,9 +196,8 @@ def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
         key = (table.source[i].item(), table.earlier[i].item(), table.later[i].item())
         raise ModelError(f"combination {key} has unallocated coordinates")
     margins = table.avg_margin
-    points = np.int64(model.num_points)
-    slots, slot_of_pair = np.unique(x * points + y, return_inverse=True)
-    slot_x, slot_y = slots // points, slots % points
+    slot, slot_of_pair = _distinct_rows(x, y)
+    slot_x, slot_y = x[slot], y[slot]
     dim = model.dimension
     rows = np.concatenate([slot_x, slot_y])
     return _PackedTable(

@@ -424,7 +424,7 @@ class TestColumnarTable:
             CombinationTable(entries, table.mode)
 
     def test_repeats_found_when_ids_span_int64(self):
-        # id ranges whose product overflows int64 cannot share one dense key
+        # ids across all of int64: no key is packed from ids, so nothing overflows
         big = np.iinfo(np.int64).max
         rows = [(-big, 0, big, 1, 0.5), (big, -big, 0, 1, 0.5), (0, big, -big, 1, 0.5)]
         table = CombinationTable(np.array(rows, dtype=ENTRY), "full")

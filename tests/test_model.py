@@ -72,6 +72,24 @@ class TestInitModel:
             bound = 0.5 / dim
             assert np.all(np.abs(model.coords) <= bound)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("keys", [
+        [(-2, -1, 0), (0, -1, 1)],
+        [(2**62, 1, 2), (1, 2, 2**62)],
+    ], ids=["negative", "beyond-u32"])
+    def test_ids_outside_u32_keep_their_values_and_are_not_saved(self, variant, keys):
+        model = init_model(_table(*keys), Cfg(2, variant), np.random.default_rng(0))
+        sources = {s for s, _, _ in keys}
+        users = {u for _, *pair in keys for u in pair}
+        every = sources | users
+        assert set(model.influence_users()) == (every if variant == "single_space" else sources)
+        for source in sources:
+            own = {u for s, *pair in keys if s == source for u in pair}
+            expected = {"independent": own, "shared_susceptibility": users}.get(variant, every)
+            assert set(model.space_of(source)) == expected
+        with pytest.raises(ModelError, match="unsigned 32-bit"):
+            save_model(model)
+
     def test_rejects_bad_dimension(self):
         with pytest.raises(ModelError):
             init_model(_table((1, 2, 3)), Cfg(0), np.random.default_rng(0))

@@ -1,12 +1,13 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casembed.combinations import Combination, CombinationTable, build_table
+from casembed.combinations import ENTRY, Combination, CombinationTable, build_table
 from casembed.data import CascadeDataset
 from casembed.model import VARIANTS, EmbeddingModel, ModelError, init_model, save_model
 from casembed.synthetic import emit_cascades, generate_world
@@ -480,6 +481,13 @@ class TestTrain:
         assert history[-1].total_loss < history[0].total_loss
 
 
+def _same(a, b, name):
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    else:
+        assert a == b, name
+
+
 # Cascades over a few users, so sources recur as other cascades' infected
 # users and (source, user) pairs recur across cascades.
 _cascade_rows = st.lists(
@@ -494,15 +502,14 @@ _cascade_rows = st.lists(
 @example(rows=[[0, 1, 2]])  # one combination, reading two pairs
 def test_build_table_pair_numbering_matches_entries(variant, mode, rows):
     """A table from build_table and the same table rebuilt from its entries,
-    which numbers its pairs on first use, allocate and pack alike."""
+    which numbers its pairs itself, allocate and pack alike."""
     dataset = CascadeDataset.from_token_rows(
         (f"c{i}", [f"t{u}" for u in row]) for i, row in enumerate(rows)
     )
     built = build_table(dataset, mode=mode)
     rebuilt = CombinationTable(list(built), mode=mode, tokens=built.tokens)
     for name in ("pair_source", "pair_user", "earlier_pair", "later_pair"):
-        a, b = getattr(built, name), getattr(rebuilt, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        _same(getattr(built, name), getattr(rebuilt, name), name)
     cfg = TrainConfig(epochs=1, dimension=3, variant=variant)
     models = [init_model(t, cfg, np.random.default_rng(4)) for t in (built, rebuilt)]
     assert save_model(models[0]) == save_model(models[1])
@@ -510,11 +517,72 @@ def test_build_table_pair_numbering_matches_entries(variant, mode, rows):
         return
     packed = [_pack_table(model, t) for model, t in zip(models, (built, rebuilt))]
     for name in _PackedTable.__dataclass_fields__:
-        a, b = (getattr(p, name) for p in packed)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        else:
-            assert a == b, name
+        _same(*(getattr(p, name) for p in packed), name)
+
+
+_EDGE = 2**63 - 1
+
+
+@st.composite
+def _relabelling(draw, count):
+    """`count` strictly increasing int64 ids from -(2**63 - 1) to 2**63 - 1,
+    both ends included once there are two ids."""
+    inner = st.integers(-_EDGE + 1, _EDGE - 1) | st.integers(-3, 3)
+    ids = draw(st.sets(inner, min_size=max(count - 2, 0), max_size=max(count - 2, 0)))
+    ends = [-_EDGE, _EDGE][: min(count, 2)]
+    return np.array(sorted(ids | set(ends)), dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_cascade_rows, mode=st.sampled_from(["dominant", "full"]), data=st.data())
+def test_setup_is_invariant_under_order_preserving_relabelling(rows, mode, data):
+    """Ids that keep their order give the same pair numbering, duplicate
+    rejection, allocation and slots, whatever int64 values they take."""
+    dataset = CascadeDataset.from_token_rows(
+        (f"c{i}", [f"t{u}" for u in row]) for i, row in enumerate(rows)
+    )
+    table = build_table(dataset, mode=mode)
+    rows = np.zeros(len(table), dtype=ENTRY)
+    for name in ENTRY.names:
+        rows[name] = getattr(table, name)
+    ids = np.unique(np.concatenate([table.source, table.earlier, table.later]))
+    new = data.draw(_relabelling(len(ids)))
+
+    def relabel(column):
+        return new[np.searchsorted(ids, column)]
+
+    moved_rows = rows.copy()
+    for name in ("source", "earlier", "later"):
+        moved_rows[name] = relabel(rows[name])
+    moved = CombinationTable(moved_rows, mode)
+    _same(moved.pair_source, relabel(table.pair_source), "pair_source")
+    _same(moved.pair_user, relabel(table.pair_user), "pair_user")
+    _same(moved.earlier_pair, table.earlier_pair, "earlier_pair")
+    _same(moved.later_pair, table.later_pair, "later_pair")
+    if not len(table):
+        return
+    repeats = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=4))
+    named = min(rows[["source", "earlier", "later"]][repeats].tolist())  # the smallest repeat
+    for entries, key in ((rows, named), (moved_rows, tuple(relabel(np.array(named)).tolist()))):
+        with pytest.raises(ValueError, match=re.escape(f"combination {key} occurs twice")):
+            CombinationTable(np.concatenate([entries, entries[repeats]]), mode)
+    for variant in VARIANTS:
+        cfg = TrainConfig(epochs=1, dimension=2, variant=variant)
+        model, twin = (init_model(t, cfg, np.random.default_rng(3)) for t in (table, moved))
+        _same(twin.coords, model.coords, "coords")
+        blocks = [(model._influence_block, twin._influence_block)]
+        if variant == "independent":
+            spaces = model._space_blocks
+            assert list(twin._space_blocks) == relabel(np.array(list(spaces))).tolist()
+            blocks += zip(spaces.values(), twin._space_blocks.values())
+        elif variant == "shared_susceptibility":
+            blocks.append((model._shared_block, twin._shared_block))
+        for block, moved_block in blocks:
+            _same(moved_block.ids, relabel(block.ids), "ids")
+            _same(moved_block.rows, block.rows, "rows")
+        packed, moved_packed = _pack_table(model, table), _pack_table(twin, moved)
+        for name in _PackedTable.__dataclass_fields__:
+            _same(getattr(moved_packed, name), getattr(packed, name), name)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -527,9 +595,9 @@ def test_setup_sorts_only_pairs_and_sources(variant, monkeypatch):
     bound = len(table.pair_source) + len(np.unique(table.source))
     assert len(table) > 4 * bound
     lengths = []
-    for name in ("unique", "argsort", "sort"):
-        def recording(a, *args, _sort=getattr(np, name), **kwargs):
-            lengths.append(np.size(a))
+    for name in ("unique", "argsort", "sort", "lexsort"):
+        def recording(a, *args, _sort=getattr(np, name), _keys=name == "lexsort", **kwargs):
+            lengths.append(np.shape(a)[-1] if _keys else np.size(a))  # lexsort: key length
             return _sort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, name, recording)
