@@ -91,6 +91,14 @@ def _write_manifest(
     _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
 
 
+def _check_outputs(*paths: Path | None) -> None:
+    """Refuse, before any work, an output path that is an existing directory:
+    writing there would fail after earlier outputs, leaving them orphaned."""
+    for path in paths:
+        if path is not None and path.is_dir():
+            raise CliError(f"output path {path} is a directory")
+
+
 def _read_dataset(path: Path):
     if not path.is_file():
         raise CliError(f"cannot read cascade file {path}")
@@ -99,6 +107,10 @@ def _read_dataset(path: Path):
 
 def cmd_split(args) -> int:
     started = _now()
+    train_path = args.out_dir / "train.cascades"
+    test_path = args.out_dir / "test.cascades"
+    manifest = args.out_dir / "split.manifest.json"
+    _check_outputs(train_path, test_path, manifest)
     if not 0.0 < args.test_frac < 1.0:
         raise CliError(f"--test-frac must be in (0, 1), got {args.test_frac}")
     dataset = _read_dataset(args.input)
@@ -110,12 +122,10 @@ def cmd_split(args) -> int:
             " both sides need at least one cascade"
         )
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    train_path = args.out_dir / "train.cascades"
-    test_path = args.out_dir / "test.cascades"
     save_cascade_file(train_set, train_path)
     save_cascade_file(test_set, test_path)
     _write_manifest(
-        args.out_dir / "split.manifest.json",
+        manifest,
         "split",
         {"test_frac": args.test_frac, "input": str(args.input)},
         [args.input],
@@ -131,6 +141,8 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     started = _now()
+    manifest = Path(f"{args.model_out}.manifest.json")
+    _check_outputs(args.model_out, args.log, manifest)
     config = TrainConfig(
         epochs=args.epochs,
         dimension=args.dim,
@@ -173,7 +185,7 @@ def cmd_train(args) -> int:
         "final_active": history[-1].active_count if history else 0,
     }
     _write_manifest(
-        Path(str(args.model_out) + ".manifest.json"),
+        manifest,
         "train",
         {
             "train": str(args.train),
@@ -200,6 +212,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = _now()
+    if args.out is not None:
+        _check_outputs(args.out, Path(f"{args.out}.manifest.json"))
     if not args.model.is_file():
         raise CliError(f"cannot read model file {args.model}")
     model = load_model_file(args.model)
@@ -210,7 +224,7 @@ def cmd_eval(args) -> int:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write(args.out, text.encode("utf-8"))
         _write_manifest(
-            Path(str(args.out) + ".manifest.json"),
+            Path(f"{args.out}.manifest.json"),
             "eval",
             {
                 "model": str(args.model),
@@ -237,6 +251,10 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     started = _now()
+    cascade_path = args.out_dir / "synthetic.cascades"
+    world_path = args.out_dir / "world.iaem"
+    manifest = args.out_dir / "synth.manifest.json"
+    _check_outputs(cascade_path, world_path, manifest)
     world = generate_world(
         args.sources, args.users_per_source, args.dim, args.seed, noise=args.noise
     )
@@ -244,12 +262,10 @@ def cmd_synth(args) -> int:
         world, args.cascades_per_source, args.length, seed=args.seed + 1
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    cascade_path = args.out_dir / "synthetic.cascades"
-    world_path = args.out_dir / "world.iaem"
     save_cascade_file(emissions, cascade_path)
     _atomic_write(world_path, save_model(world.ground_truth))
     _write_manifest(
-        args.out_dir / "synth.manifest.json",
+        manifest,
         "synth",
         {
             "sources": args.sources,
@@ -283,6 +299,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """An option value that is a non-negative integer, as numpy's seeding needs."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casembed",
@@ -295,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", type=Path, required=True, help="cascade file to split")
     sp.add_argument("--test-frac", type=float, default=0.1,
                     help="fraction of cascades held out for testing (default 0.1)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out-dir", type=Path, required=True)
     sp.set_defaults(func=cmd_split)
 
@@ -311,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="combination sampling mode (default dominant)")
     tr.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="independent",
                     help="latent space sharing (default independent)")
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=_seed, default=0)
     tr.add_argument("--model-out", type=Path, required=True)
     tr.add_argument("--log", type=Path, default=None,
                     help="epoch TSV log file (default: print to stdout)")
@@ -341,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="users drawn per cascade (default 8)")
     sy.add_argument("--noise", type=float, default=0.0,
                     help="adjacent swap probability during emission (default 0)")
-    sy.add_argument("--seed", type=int, default=0)
+    sy.add_argument("--seed", type=_seed, default=0)
     sy.add_argument("--out-dir", type=Path, required=True)
     sy.set_defaults(func=cmd_synth)
     return parser

@@ -11,17 +11,16 @@ cascades averages its margins. In dominant mode, when both orientations of a
 pair occur under one source only the strictly more frequent one is kept, and
 a tie drops both (keeping both would impose contradictory constraints).
 
-A CombinationTable keeps its entries as parallel numpy columns, which
-`build_table` fills directly; `Combination` views are made only on demand.
-Every table numbers the distinct (source, user) pairs its combinations
-read, the identity of a point in a source's susceptibility space.
-`_distinct_rows` numbers distinct (a, b) rows for the whole set-up (these
-pairs, a model's (space, user) points, the packed slots) with one
-`np.lexsort` and no key packed from ids, so ids may take any int64 value.
-A table built from entries numbers its pairs with it, then proves its
-keys distinct with one sort of a key made of two pair numbers;
-`build_table` hands over the numbering it merges triples with, and its
-keys are distinct by construction, so its table skips that sort.
+A CombinationTable stores a numbering of the distinct (source, user) pairs
+its combinations read, each a point of a source's susceptibility space, and
+per combination its two pairs, count and margin; key columns and
+`Combination` views are read off the numbering on demand. `_distinct_rows`
+numbers distinct (a, b) rows for the whole set-up (these pairs, a model's
+(space, user) points, the packed slots) with one `np.lexsort` and no key
+packed from ids, so ids may take any int64 value. A table built from
+entries proves its keys distinct with one sort of a key made of two pair
+numbers; `build_table`'s keys are distinct by construction, so its table
+skips that sort.
 
 `build_table` reads a dataset's columns: each triple's positions come from
 the cascade offsets and a catalogue of ordered pairs per cascade length,
@@ -32,7 +31,7 @@ first occurrence, count and margin sum; the two orientations of a pair
 are neighbouring runs; and a scan over the T positions restores
 first-occurrence order. Nothing else of length T is sorted or searched,
 and the build's peak working set, the returned table included, is at most
-about nine int64 words per triple.
+about seven int64 words per triple.
 """
 
 from __future__ import annotations
@@ -129,23 +128,28 @@ def _distinct_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return order[new], at
 
 
+def _freeze(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
 class CombinationTable:
-    """Combinations as parallel read-only columns, in insertion order.
+    """Combinations in insertion order, over a numbering of (source, user)
+    pairs: pair p is (`pair_source[p]`, `pair_user[p]`), numbered densely in
+    (source, user) order over the pairs some combination reads, and
+    combination n reads pairs `earlier_pair[n]` and `later_pair[n]` and
+    carries `count[n]` and `avg_margin[n]`.
 
-    `entries` are `Combination`s or one array of dtype `ENTRY`; each field
-    becomes a column (`source`, `earlier`, ...). Iteration and `get` hand out
-    `Combination` views; lookups use a key index built on first use.
-    `tokens` is carried over from the originating dataset so models built
-    from the table can resolve user tokens later.
-
-    The table also numbers its distinct (source, user) pairs densely, in
-    (source, user) order: pair p is (`pair_source[p]`, `pair_user[p]`), and
-    combination n reads pairs `earlier_pair[n]` and `later_pair[n]`. Only
-    pairs some combination reads are numbered. `build_table` hands the
-    numbering over; a table built from entries numbers its pairs with
-    `_distinct_rows` and then proves its keys distinct with one sort of
-    `earlier_pair * P + later_pair` for its P pairs: a key below P², equal
-    for two rows exactly when they share (source, earlier, later).
+    The table stores only these six read-only arrays; the key columns
+    `source`, `earlier` and `later`, the key index behind `get`, `keys` and
+    `in`, and iteration's `Combination` views are read off them on first
+    use. `entries` are `Combination`s or one array of dtype `ENTRY`, whose
+    pairs `_distinct_rows` numbers; one sort of `earlier_pair * P +
+    later_pair` for P pairs then proves the keys distinct, a key below P²
+    equal for two rows exactly when they share (source, earlier, later).
+    `tokens`, carried over from the originating dataset, lets models built
+    from the table resolve user tokens.
     """
 
     def __init__(
@@ -157,69 +161,79 @@ class CombinationTable:
         if not isinstance(entries, np.ndarray):
             entries = [(c.source, c.earlier, c.later, c.count, c.avg_margin) for c in entries]
         rows = np.asarray(entries, dtype=ENTRY)
-        columns = [rows[name].copy() for name in ENTRY.names]
-        sources = np.concatenate([columns[0], columns[0]])
-        users = np.concatenate(columns[1:3])
+        sources = np.concatenate([rows["source"], rows["source"]])
+        users = np.concatenate([rows["earlier"], rows["later"]])
         first, at = _distinct_rows(sources, users)
-        n = len(rows)
-        self._set_columns(columns, mode, tokens, (sources[first], users[first], at[:n], at[n:]))
+        pairs = (sources[first], users[first], at[: len(rows)], at[len(rows) :])
+        self._set_columns(rows["count"].copy(), rows["avg_margin"].copy(), pairs, mode, tokens)
         key = self.earlier_pair * len(first) + self.later_pair
         ordered = np.sort(key)
         repeat = ordered[1:] == ordered[:-1]
         if repeat.any():
             i = np.argmax(key == ordered[1:][repeat][0])
-            raise ValueError(f"combination {tuple(c[i].item() for c in columns[:3])} occurs twice")
+            raise ValueError(f"combination {self._combination(i).key} occurs twice")
 
     @classmethod
-    def _from_build(cls, columns, mode, tokens, pairs) -> CombinationTable:
-        """The table `build_table` assembles: `columns` (of `ENTRY`'s
-        dtypes, owned by the table) and the pair numbering (pair_source,
-        pair_user, earlier_pair, later_pair) it merged triples with.
+    def _from_build(cls, count, avg_margin, pairs, mode, tokens) -> CombinationTable:
+        """The table `build_table` assembles: `count` and `avg_margin` (of
+        `ENTRY`'s dtypes, owned by the table) and the pair numbering
+        (pair_source, pair_user, earlier_pair, later_pair) it merged with.
 
         Each row is one run of the build's sort of triple keys, so keys are
-        distinct by construction and the sort that proves it for entries
-        from outside is skipped; on a corpus of distinct triples that sort
-        would set the build's peak. The per-row value checks stay: one O(N)
-        pass that keeps every row a valid `Combination` (distinct users, a
-        positive count, a positive margin) whatever the build's arithmetic
-        gives, at no cost to the peak.
+        distinct by construction and the sort proving it is skipped (on
+        distinct triples it would set the build's peak). The O(N) per-row
+        value checks stay, at no cost to the peak.
         """
         table = cls.__new__(cls)
-        table._set_columns(columns, mode, tokens, pairs)
+        table._set_columns(count, avg_margin, pairs, mode, tokens)
         return table
 
-    def _set_columns(self, columns: list[np.ndarray], mode: str, tokens, pairs) -> None:
+    def _set_columns(self, count, avg_margin, pairs, mode: str, tokens) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        for column in (*columns, *pairs):
-            column.flags.writeable = False
-        self.source, self.earlier, self.later, self.count, self.avg_margin = columns
-        self.pair_source, self.pair_user, self.earlier_pair, self.later_pair = pairs
-        self._columns = columns
+        self.count, self.avg_margin = _freeze(count, avg_margin)
+        self.pair_source, self.pair_user, self.earlier_pair, self.later_pair = _freeze(*pairs)
         self.mode = mode
         self.tokens: tuple[str, ...] | None = None if tokens is None else tuple(tokens)
-        bad = (self.earlier == self.later) | (self.source == self.earlier)
-        bad |= (self.source == self.later) | (self.count < 1) | ~(self.avg_margin > 0)
+        own = self.pair_source == self.pair_user  # a user that is its source
+        bad = (self.earlier_pair == self.later_pair) | own[self.earlier_pair]
+        bad |= own[self.later_pair] | (count < 1) | ~(avg_margin > 0)
         if bad.any():
-            # raises, naming the broken invariant
-            Combination(*(c[np.argmax(bad)].item() for c in columns))
+            self._combination(np.argmax(bad))  # raises, naming the broken invariant
+
+    def _combination(self, n: int) -> Combination:
+        """Row n, its key read off the pair numbering."""
+        earlier, later = self.earlier_pair[n], self.later_pair[n]
+        return Combination(self.pair_source[earlier].item(), self.pair_user[earlier].item(),
+                           self.pair_user[later].item(), self.count[n].item(),
+                           self.avg_margin[n].item())
+
+    @cached_property
+    def _keys(self) -> tuple[np.ndarray, ...]:
+        """The `source`, `earlier` and `later` columns."""
+        earlier, later = self.earlier_pair, self.later_pair
+        return _freeze(self.pair_source[earlier], self.pair_user[earlier], self.pair_user[later])
+
+    source = property(lambda self: self._keys[0])
+    earlier = property(lambda self: self._keys[1])
+    later = property(lambda self: self._keys[2])
 
     @cached_property
     def _rows(self) -> dict[Key, int]:
-        return {key: n for n, key in enumerate(zip(*(c.tolist() for c in self._columns[:3])))}
+        return {key: n for n, key in enumerate(zip(*(c.tolist() for c in self._keys)))}
 
     def __len__(self) -> int:
-        return len(self.source)
+        return len(self.count)
 
     def __iter__(self) -> Iterator[Combination]:
-        return map(Combination, *(c.tolist() for c in self._columns))
+        return map(Combination, *(c.tolist() for c in (*self._keys, self.count, self.avg_margin)))
 
     def __contains__(self, key: Key) -> bool:
         return key in self._rows
 
     def get(self, source: int, earlier: int, later: int) -> Combination | None:
         n = self._rows.get((source, earlier, later))
-        return None if n is None else Combination(*(c[n].item() for c in self._columns))
+        return None if n is None else self._combination(n)
 
     def keys(self):
         return self._rows.keys()
@@ -289,8 +303,8 @@ def build_table(
     and a mark-and-scan over the T positions restores first-occurrence
     order. Each T-length array is freed once used and buffers are updated
     in place, so at most about six T-length arrays are alive at once, and
-    the peak, the returned table's seven columns included, stays under
-    about nine int64 words per triple.
+    the peak, the returned table's four N-length columns included, stays
+    under about seven int64 words per triple.
     """
     _check_mu(mu)
     tokens = dataset.tokens
@@ -401,9 +415,6 @@ def build_table(
     earlier_pair = np.where(flipped, high, low)
     later_pair = np.where(flipped, low, high)
     del low, high, flipped
-    columns = [
-        pair_source[earlier_pair], pair_user[earlier_pair], pair_user[later_pair], counts, means
-    ]
     # Renumber the pairs kept rows read, keeping their (source, user) order.
     used = np.zeros(pair_count, dtype=bool)
     used[earlier_pair] = True
@@ -412,7 +423,7 @@ def build_table(
     earlier_pair = renumber[earlier_pair]
     later_pair = renumber[later_pair]
     pairs = (pair_source[used], pair_user[used], earlier_pair, later_pair)
-    return CombinationTable._from_build(columns, mode, tokens, pairs)
+    return CombinationTable._from_build(counts, means, pairs, mode, tokens)
 
 
 def dump_table_tsv(table: CombinationTable, stream: IO[str]) -> None:

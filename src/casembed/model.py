@@ -12,9 +12,10 @@ storage depends on the variant:
 In memory each point block (the influence block, each per-source space, the
 shared space) is a pair of arrays, user ids and their coordinate rows, in
 block order: the order the file lists the block's points. Loading, saving,
-initialization, packing for training and ranking all read these arrays. The
-`{id: row}` dict a scalar query (`space_of`, `influence_point`,
-`distance_sq`, ...) needs is built per block on its first such query.
+initialization and ranking read these arrays. A block's only index is its
+`{id: row}` dict, built on the block's first lookup: scalar queries
+(`space_of`, `influence_point`, `distance_sq`, ...) and the bulk lookup
+that resolves a combination table's pairs for training both use it.
 Squared distances, scalar or bulk, come from one array expression, so
 `distance_sq` and a ranking agree bit for bit.
 
@@ -95,36 +96,20 @@ def _distances_sq(coords: np.ndarray, row_x: int, rows_y: np.ndarray) -> np.ndar
 class _Block:
     """One point block: user ids and their coordinate rows, in block order."""
 
-    def __init__(self, ids: np.ndarray, rows: np.ndarray, view: dict[int, int] | None = None):
+    def __init__(self, ids: np.ndarray, rows: np.ndarray):
         self.ids = ids
         self.rows = rows
-        if view is not None:
-            self.view = view
 
     @classmethod
     def of(cls, mapping: Mapping[int, int]) -> _Block:
-        view = dict(mapping)
-        count = len(view)
-        return cls(np.fromiter(view, np.int64, count),
-                   np.fromiter(view.values(), np.int64, count), view)
+        count = len(mapping)
+        return cls(np.fromiter(mapping, np.int64, count),
+                   np.fromiter(mapping.values(), np.int64, count))
 
     @cached_property
     def view(self) -> dict[int, int]:
         """The block as an `{id: row}` dict, built on first use."""
         return dict(zip(self.ids.tolist(), self.rows.tolist()))
-
-    @cached_property
-    def _by_id(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(self.ids)
-        return self.ids[order], self.rows[order]
-
-    def find(self, users: np.ndarray) -> np.ndarray:
-        """Row of each of `users` in this block, -1 where absent."""
-        ids, rows = self._by_id
-        if not len(ids):
-            return np.full(len(users), -1, dtype=np.int64)
-        at = np.minimum(np.searchsorted(ids, users), len(ids) - 1)
-        return np.where(ids[at] == users, rows[at], -1)
 
 
 class EmbeddingModel:
@@ -265,19 +250,19 @@ class EmbeddingModel:
 
     def _slot_rows(self, sources: np.ndarray, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For (source, user) pairs: the source's influence row and the
-        user's row in the source's space, each -1 where absent."""
-        distinct, at = np.unique(sources, return_inverse=True)
-        x = self._influence_block.find(distinct)[at]
-        if self.variant != "independent":
-            return x, self._shared_block.find(users)
-        y = np.full(len(users), -1, dtype=np.int64)
-        order = np.argsort(at, kind="stable")
-        bounds = np.searchsorted(at[order], np.arange(len(distinct) + 1))
-        for k, source in enumerate(distinct.tolist()):
-            block = self._space_blocks.get(source)
-            if block is not None:
-                pick = order[bounds[k] : bounds[k + 1]]
-                y[pick] = block.find(users[pick])
+        user's row in the source's space, each -1 where absent. Each run of
+        equal sources looks its source up once in the influence view and
+        its users in the source's `space_of` view."""
+        x = np.empty(len(sources), dtype=np.int64)
+        y = np.empty(len(users), dtype=np.int64)
+        new = np.ones(len(sources), dtype=bool)
+        np.not_equal(sources[1:], sources[:-1], out=new[1:])
+        starts = np.flatnonzero(new).tolist()
+        for start, end, source in zip(starts, starts[1:] + [len(users)],
+                                      sources[starts].tolist()):
+            x[start:end] = self._influence.get(source, -1)
+            space = self.space_of(source) or {}
+            y[start:end] = [space.get(user, -1) for user in users[start:end].tolist()]
         return x, y
 
     def diffusion_kernel(self, source: int, user: int, time: float = 1.0) -> float | None:
@@ -285,10 +270,11 @@ class EmbeddingModel:
 
         Strictly decreasing in the squared distance for fixed t, so ranking
         by descending kernel equals ranking by ascending distance. None when
-        the distance is absent.
+        the distance is absent; ValueError unless `time` is finite and
+        positive.
         """
-        if time <= 0:
-            raise ValueError(f"kernel time must be positive, got {time}")
+        if not (math.isfinite(time) and time > 0):
+            raise ValueError(f"kernel time must be finite and positive, got {time}")
         d2 = self.distance_sq(source, user)
         if d2 is None:
             return None

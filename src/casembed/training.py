@@ -16,10 +16,11 @@ gaps from them, counts how often each slot serves as an active earlier or
 later distance, and scatters one weighted difference per slot. That costs
 O(N + S·D) instead of O(N·D). The slot index is built once per `train`
 from the table's pair numbering (see `CombinationTable`), which
-`build_table` computes while merging triples: model rows are looked up
-once per distinct (source, user) pair, `_distinct_rows` numbers the slots
-in (influence row, susceptibility row) order with one lexsort over those
-pairs, and each combination only gathers its two pairs' slots.
+`build_table` computes while merging triples: model rows are looked up in
+the model's `{id: row}` views once per distinct (source, user) pair,
+`_distinct_rows` numbers the slots in (influence row, susceptibility row)
+order with one lexsort over those pairs, and each combination only
+gathers its two pairs' slots. The table's key columns are never read.
 
 An epoch's scatter writes each slot's gradient and its negation straight
 into one preallocated (2S, D) weights buffer, frees the slot differences,
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,10 +93,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.dimension}")
+        for name, least in (("epochs", 0), ("dimension", 1), ("seed", 0)):
+            value = getattr(self, name)  # a float, even a whole one, fails deep in `train`
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         _check_learning_rate(self.learning_rate)
         _check_mu(self.mu)
         if self.sampling not in MODES:
@@ -160,7 +162,7 @@ def accumulate_gradients(model: EmbeddingModel, combo: Combination):
 class _PackedTable:
     """Combination table resolved to the slots of one model.
 
-    Built from the table's columns, in the table's row order. Slot k pairs
+    Built from the table's pair numbering, in its row order. Slot k pairs
     influence row `slot_x[k]` with susceptibility row `slot_y[k]`;
     combination n reads the distances of slots `earlier_slot[n]` and
     `later_slot[n]`; `margins` is the table's `avg_margin` column. Slots
@@ -184,16 +186,17 @@ class _PackedTable:
 def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
     """Resolve the table to `model`'s slots, for any model holding its rows.
 
-    Works per pair of the table's pair numbering: the model's rows are
-    looked up and slots numbered by `_distinct_rows` over the P pairs' rows,
-    and each combination gathers the slots of its earlier and later pairs.
-    Nothing of length N is sorted.
+    Works per pair of the table's pair numbering: each pair's rows are
+    looked up in the model's `{id: row}` views, slots are numbered by
+    `_distinct_rows` over the P pairs' rows, and each combination gathers
+    the slots of its earlier and later pairs. Nothing of length N is
+    sorted, and a missing row is reported by the key the numbering gives.
     """
     x, y = model._slot_rows(table.pair_source, table.pair_user)
     missing = (x < 0) | (y < 0)
     if missing.any():
         i = (missing[table.earlier_pair] | missing[table.later_pair]).argmax()
-        key = (table.source[i].item(), table.earlier[i].item(), table.later[i].item())
+        key = table._combination(i).key
         raise ModelError(f"combination {key} has unallocated coordinates")
     margins = table.avg_margin
     slot, slot_of_pair = _distinct_rows(x, y)

@@ -271,6 +271,56 @@ class TestTrain:
                    "--model-out", tmp_path / "m.iaem") == 1
 
 
+class TestOutputPaths:
+    """Every command refuses an output path that is an existing directory
+    before any work, and writes nothing."""
+
+    @pytest.fixture()
+    def commands(self, corpus, tmp_path):
+        model = tmp_path / "model.iaem"
+        assert run("train", "--train", corpus, "--dim", 2, "--epochs", 1,
+                   "--model-out", model) == 0
+        out = tmp_path / "out"
+        return out, {
+            "split": (["split", "--input", corpus, "--out-dir", out],
+                      ["train.cascades", "test.cascades", "split.manifest.json"]),
+            "train": (["train", "--train", corpus, "--dim", 2, "--epochs", 1,
+                       "--model-out", out / "m.iaem", "--log", out / "m.log"],
+                      ["m.iaem", "m.log", "m.iaem.manifest.json"]),
+            "eval": (["eval", "--model", model, "--test", corpus, "--out", out / "r.jsonl"],
+                     ["r.jsonl", "r.jsonl.manifest.json"]),
+            "synth": (["synth", "--cascades-per-source", 2, "--out-dir", out],
+                      ["synthetic.cascades", "world.iaem", "synth.manifest.json"]),
+        }
+
+    @pytest.mark.parametrize("command, output", [
+        ("split", 0), ("split", 1), ("split", 2),
+        ("train", 0), ("train", 1), ("train", 2),
+        ("eval", 0), ("eval", 1),
+        ("synth", 0), ("synth", 1), ("synth", 2),
+    ])
+    def test_directory_output_exit_2_without_outputs(self, commands, capsys, command, output):
+        out, table = commands
+        argv, names = table[command]
+        blocked = out / names[output]
+        blocked.mkdir(parents=True)
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert f"output path {blocked} is a directory" in capsys.readouterr().err
+        assert list(out.iterdir()) == [blocked] and not any(blocked.iterdir())
+
+    @pytest.mark.parametrize("command", ["split", "train", "synth"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_exit_2_without_outputs(self, commands, capsys, command, seed):
+        out, table = commands
+        argv, _ = table[command]
+        capsys.readouterr()
+        assert run(*argv, "--seed", seed) == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: must be a non-negative integer, got {seed!r}" in err
+        assert not out.exists()
+
+
 def test_benchmark_tracer_runs_train(corpus, tmp_path):
     """bench/traced.py looks the table build up through `cli` and `training`;
     it must still trace one build per `train` and pass its checks."""

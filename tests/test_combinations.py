@@ -439,6 +439,7 @@ class TestColumnarTable:
         for bad, problem in (
             (rows((1, 2, 2, 1, 0.5)), "distinct"),
             (rows((1, 1, 2, 1, 0.5)), "distinct"),
+            (rows((1, 2, 3, 1, 0.5), (1, 2, 1, 1, 0.5)), r"distinct, got \(1, 2, 1\)"),
             (rows((1, 2, 3, 0, 0.5)), "count"),
         ):
             with pytest.raises(ValueError, match=problem):

@@ -182,7 +182,7 @@ class TestKernel:
 
     def test_rejects_nonpositive_time(self):
         model = init_model(_table((1, 3, 4)), Cfg(2), np.random.default_rng(0))
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 model.diffusion_kernel(1, 3, time=bad)
 

@@ -51,6 +51,13 @@ class TestConfig:
             {"epochs": 1, "mu": 1.0},
             {"epochs": 1, "sampling": "all"},
             {"epochs": 1, "variant": "both"},
+            {"epochs": 1.5},
+            {"epochs": 2.0},  # whole, but not an integer: range() rejects it
+            {"epochs": "3"},
+            {"epochs": 1, "dimension": 2.0},
+            {"epochs": 1, "dimension": 2.5},
+            {"epochs": 1, "seed": -1},
+            {"epochs": 1, "seed": 0.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -357,6 +364,20 @@ class TestReferenceEquivalence:
             for slot, user in ((packed.earlier_slot[n], combo.earlier),
                                (packed.later_slot[n], combo.later)):
                 assert (packed.slot_x[slot], packed.slot_y[slot]) == (x, space[user])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_empty_table_packs_empty_and_moves_nothing(self, variant):
+        rng = np.random.default_rng(6)
+        model = init_model(_random_table(rng, users=6, size=10),
+                           TrainConfig(epochs=1, dimension=3, variant=variant), rng)
+        before = model.coords.copy()
+        empty = CombinationTable([], mode="full")
+        packed = _pack_table(model, empty)
+        for name in _PackedTable.__dataclass_fields__:
+            if name != "distance_limit":
+                assert len(getattr(packed, name)) == 0, name
+        assert run_epoch(model, empty, 0.1) == EpochStats(0, 0.0, 0)
+        np.testing.assert_array_equal(model.coords, before, strict=True)
 
     def test_source_without_a_space_is_unallocated(self):
         coords = np.zeros((4, 2))
