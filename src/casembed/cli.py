@@ -91,12 +91,22 @@ def _write_manifest(
     _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
 
 
-def _check_outputs(*paths: Path | None) -> None:
-    """Refuse, before any work, an output path that is an existing directory:
-    writing there would fail after earlier outputs, leaving them orphaned."""
-    for path in paths:
-        if path is not None and path.is_dir():
+def _check_outputs(outputs: list[Path | None], inputs: list[Path]) -> None:
+    """Refuse, before any work, an output path that is an existing directory
+    or names the same file as an input or an earlier output, comparing
+    resolved paths. Writing to a directory would fail after earlier outputs,
+    leaving them orphaned; writing to a named file would overwrite what the
+    command reads or has just written, and still report success."""
+    named = {os.path.realpath(path): f"input {path}" for path in inputs}
+    for path in outputs:
+        if path is None:
+            continue
+        if path.is_dir():
             raise CliError(f"output path {path} is a directory")
+        resolved = os.path.realpath(path)  # unlike Path.resolve, no error on a link loop
+        if resolved in named:
+            raise CliError(f"output path {path} names the same file as {named[resolved]}")
+        named[resolved] = f"output {path}"
 
 
 def _read_dataset(path: Path):
@@ -110,7 +120,7 @@ def cmd_split(args) -> int:
     train_path = args.out_dir / "train.cascades"
     test_path = args.out_dir / "test.cascades"
     manifest = args.out_dir / "split.manifest.json"
-    _check_outputs(train_path, test_path, manifest)
+    _check_outputs([train_path, test_path, manifest], [args.input])
     if not 0.0 < args.test_frac < 1.0:
         raise CliError(f"--test-frac must be in (0, 1), got {args.test_frac}")
     dataset = _read_dataset(args.input)
@@ -142,7 +152,7 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     started = _now()
     manifest = Path(f"{args.model_out}.manifest.json")
-    _check_outputs(args.model_out, args.log, manifest)
+    _check_outputs([args.model_out, args.log, manifest], [args.train])
     config = TrainConfig(
         epochs=args.epochs,
         dimension=args.dim,
@@ -213,7 +223,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = _now()
     if args.out is not None:
-        _check_outputs(args.out, Path(f"{args.out}.manifest.json"))
+        _check_outputs([args.out, Path(f"{args.out}.manifest.json")], [args.model, args.test])
     if not args.model.is_file():
         raise CliError(f"cannot read model file {args.model}")
     model = load_model_file(args.model)
@@ -254,7 +264,7 @@ def cmd_synth(args) -> int:
     cascade_path = args.out_dir / "synthetic.cascades"
     world_path = args.out_dir / "world.iaem"
     manifest = args.out_dir / "synth.manifest.json"
-    _check_outputs(cascade_path, world_path, manifest)
+    _check_outputs([cascade_path, world_path, manifest], [])
     world = generate_world(
         args.sources, args.users_per_source, args.dim, args.seed, noise=args.noise
     )

@@ -22,12 +22,14 @@ the model's `{id: row}` views once per distinct (source, user) pair,
 order with one lexsort over those pairs, and each combination only
 gathers its two pairs' slots. The table's key columns are never read.
 
-An epoch's scatter writes each slot's gradient and its negation straight
-into one preallocated (2S, D) weights buffer, frees the slot differences,
-gaps and active set before the scatter, and applies the update to the
-accumulated sums in place. Its working set peaks at about N + 2A + S·D
-words while it finds the A active combinations, and at about 2·S·D + P·D
-words for P model points while it scatters.
+An epoch frees the gaps and active set before its scatter, then scatters
+one dimension at a time: each slot's gradient and its negation in that
+dimension go into one reused 2S weights vector, which `np.bincount` sums by
+row into that dimension's row of a (D, P) sum for P model points. The
+update is applied to the sums in place, through their transpose. No index
+or buffer of S·D entries is built beside the slot differences, so the
+working set peaks at about N + 2A + S·D words while the epoch finds the A
+active combinations, and at about S·D + P·D words while it scatters.
 
 Divergence raises ValueError naming the epoch. Every epoch checks the
 distances it starts from, and train and run_epoch check the coordinates the
@@ -168,9 +170,10 @@ class _PackedTable:
     `later_slot[n]`; `margins` is the table's `avg_margin` column. Slots
     are sorted by (`slot_x`, `slot_y`), which fixes the order in which
     gradients accumulate. `rows` lists the influence rows of all slots,
-    then their susceptibility rows; `scatter_index` holds the flat
-    coordinate index of every (row, dimension) entry of `rows`. At squared distances of `distance_limit` or
-    more, float64 rounding in a gap reaches the smallest margin.
+    then their susceptibility rows: the epoch scatters each dimension's
+    gradients through it. Nothing here grows with the dimension. At squared
+    distances of `distance_limit` or more, float64 rounding in a gap
+    reaches the smallest margin.
     """
 
     slot_x: np.ndarray
@@ -179,7 +182,6 @@ class _PackedTable:
     later_slot: np.ndarray
     margins: np.ndarray
     rows: np.ndarray
-    scatter_index: np.ndarray
     distance_limit: float
 
 
@@ -201,16 +203,13 @@ def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
     margins = table.avg_margin
     slot, slot_of_pair = _distinct_rows(x, y)
     slot_x, slot_y = x[slot], y[slot]
-    dim = model.dimension
-    rows = np.concatenate([slot_x, slot_y])
     return _PackedTable(
         slot_x,
         slot_y,
         slot_of_pair[table.earlier_pair],
         slot_of_pair[table.later_pair],
         margins,
-        rows,
-        (rows[:, None] * dim + np.arange(dim)).ravel(),
+        np.concatenate([slot_x, slot_y]),
         float(margins.min(initial=np.inf) / np.finfo(np.float64).eps),
     )
 
@@ -266,18 +265,22 @@ def _run_packed_epoch(
         # and n_l as the later one; their gradient terms sum to
         # 2·(n_e − n_l)·(x − y) on row x and the negation on row y. Row x is
         # touched once per combination, row y once per distance it serves.
-        weights = np.empty((2 * slots, coords.shape[1]))
-        np.multiply((2.0 * (n_e - n_l))[:, None], diff, out=weights[:slots])
+        # One dimension at a time: bincount adds in input order, so each
+        # coordinate sums its terms in slot order, as one scatter over all
+        # dimensions would, and nothing of S·D entries is built for it.
+        scale = 2.0 * (n_e - n_l)
+        weights = np.empty(2 * slots)
+        sums = np.empty((coords.shape[1], len(coords)))
+        for d, column in enumerate(diff.T):
+            np.multiply(scale, column, out=weights[:slots])
+            np.negative(weights[:slots], out=weights[slots:])
+            sums[d] = np.bincount(packed.rows, weights=weights, minlength=len(coords))
         del diff
-        np.negative(weights[:slots], out=weights[slots:])
-        accum = np.bincount(
-            packed.scatter_index, weights=weights.ravel(), minlength=coords.size
-        ).reshape(coords.shape)
-        del weights
         touched = np.bincount(
             packed.rows, weights=np.concatenate([n_e, n_e + n_l]), minlength=len(coords)
         )
         # untouched rows have a zero sum, so they move by exactly zero
+        accum = sums.T
         accum *= learning_rate
         accum /= np.maximum(touched, 1.0)[:, None]
         coords -= accum

@@ -321,6 +321,51 @@ class TestOutputPaths:
         assert not out.exists()
 
 
+class TestCollidingOutputs:
+    """A command whose output names the same file as an input or another
+    output exits 2 before any work: it writes nothing and leaves its
+    inputs as they were. Paths compare resolved."""
+
+    def _refused(self, capsys, argv, path, other, inputs, out):
+        before = {p: p.read_bytes() for p in inputs}
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert f"output path {path} names the same file as {other}" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in inputs} == before
+        assert sorted(out.iterdir()) == sorted(p for p in inputs if p.parent == out)
+
+    def test_split_into_its_own_input(self, corpus, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        train = out / "train.cascades"
+        train.write_bytes(corpus.read_bytes())
+        self._refused(capsys, ["split", "--input", train, "--out-dir", out],
+                      train, f"input {train}", [train], out)
+
+    @pytest.mark.parametrize("log", ["m.iaem", "sub/../m.iaem", "m.iaem.manifest.json"])
+    def test_train_log_onto_another_output(self, corpus, tmp_path, capsys, log):
+        out = tmp_path / "out"
+        out.mkdir()
+        model, log = out / "m.iaem", out / log
+        other = model if log.name == "m.iaem" else Path(f"{model}.manifest.json")
+        self._refused(capsys, ["train", "--train", corpus, "--dim", 2, "--epochs", 1,
+                               "--model-out", model, "--log", log],
+                      log, f"output {other}", [corpus], out)
+
+    @pytest.mark.parametrize("target", ["test", "model"])
+    def test_eval_report_onto_an_input(self, corpus, tmp_path, capsys, target):
+        out = tmp_path / "out"
+        out.mkdir()
+        model, test = out / "model.iaem", out / "t.cascades"
+        test.write_bytes(corpus.read_bytes())
+        assert run("train", "--train", test, "--dim", 2, "--epochs", 1,
+                   "--model-out", model, "--log", tmp_path / "train.log") == 0
+        (out / "model.iaem.manifest.json").unlink()
+        report = test if target == "test" else model
+        self._refused(capsys, ["eval", "--model", model, "--test", test, "--out", report],
+                      report, f"input {report}", [model, test], out)
+
+
 def test_benchmark_tracer_runs_train(corpus, tmp_path):
     """bench/traced.py looks the table build up through `cli` and `training`;
     it must still trace one build per `train` and pass its checks."""

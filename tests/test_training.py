@@ -270,19 +270,39 @@ class TestRunEpoch:
         assert work(table, 4) == len(table) + slots(table) * 4
         assert work(half, 2) == len(half) + slots(half) * 2
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_epoch_working_set_is_linear_in_table_and_slots(self, traced_peak, variant):
+    @pytest.mark.parametrize("variant, dimension", [
+        *(pytest.param(variant, 16, id=variant) for variant in VARIANTS),
+        *(pytest.param(variant, 64, id=f"{variant}-64") for variant in VARIANTS),
+    ])
+    def test_epoch_working_set_is_linear_in_table_and_slots(self, traced_peak, variant, dimension):
         # One epoch may hold at its peak 2·(N + 2·S·D) words of 8 bytes for
-        # N combinations over S slots in D dimensions.
+        # N combinations over S slots in D dimensions, and no more than
+        # 3·N + S·D + P·D words for P model points: nothing of the scatter
+        # grows with S·D beside the slot differences.
         world = generate_world(6, 40, 4, seed=5, noise=0.3)
         table = build_table(emit_cascades(world, 40, 16, seed=6), mode="full")
-        cfg = TrainConfig(epochs=1, dimension=16, variant=variant)
+        cfg = TrainConfig(epochs=1, dimension=dimension, variant=variant)
         model = init_model(table, cfg, np.random.default_rng(0))
         packed = _pack_table(model, table)
         stats, peak = traced_peak(_run_packed_epoch, model, packed, 0.01, 0)
         assert stats.active_count > 0
         words = len(table) + 2 * len(packed.slot_x) * cfg.dimension
         assert peak <= 2 * 8 * words, f"{peak / 8 / words:.2f} words per bound word"
+        words = 3 * len(table) + (len(packed.slot_x) + len(model.coords)) * cfg.dimension
+        assert peak <= 8 * words, f"{peak / 8 / words:.2f} words per bound word"
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_packed_table_does_not_grow_with_dimension(self, variant):
+        world = generate_world(6, 40, 4, seed=5, noise=0.3)
+        table = build_table(emit_cascades(world, 40, 16, seed=6), mode="full")
+
+        def packed_bytes(dimension):
+            cfg = TrainConfig(epochs=1, dimension=dimension, variant=variant)
+            packed = _pack_table(init_model(table, cfg, np.random.default_rng(0)), table)
+            arrays = [getattr(packed, name) for name in _PackedTable.__dataclass_fields__]
+            return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+        assert packed_bytes(2) == packed_bytes(64)
 
     @pytest.mark.parametrize("variant", ["independent", "shared_susceptibility", "single_space"])
     def test_slots_are_the_distinct_source_user_pairs(self, variant):
@@ -327,6 +347,30 @@ def _reference_epoch(model, table, learning_rate):
     return loss, active
 
 
+def _flat_scatter_epoch(coords, packed, learning_rate):
+    """Coordinates after one epoch that scatters all dimensions at once: one
+    bincount over the flat coordinate index of every (row, dimension) entry
+    of `packed.rows`, with a (2S, D) weights buffer."""
+    dim = coords.shape[1]
+    diff = coords[packed.slot_x] - coords[packed.slot_y]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    gaps = d2[packed.later_slot] - d2[packed.earlier_slot]
+    active = np.flatnonzero(gaps < packed.margins)
+    n_e = np.bincount(packed.earlier_slot[active], minlength=len(d2))
+    n_l = np.bincount(packed.later_slot[active], minlength=len(d2))
+    grads = (2.0 * (n_e - n_l))[:, None] * diff
+    weights = np.concatenate([grads, -grads])
+    index = (packed.rows[:, None] * dim + np.arange(dim)).ravel()
+    accum = np.bincount(index, weights=weights.ravel(), minlength=coords.size)
+    accum = accum.reshape(coords.shape)
+    touched = np.bincount(
+        packed.rows, weights=np.concatenate([n_e, n_e + n_l]), minlength=len(coords)
+    )
+    accum *= learning_rate
+    accum /= np.maximum(touched, 1.0)[:, None]
+    return coords - accum, len(active)
+
+
 class TestReferenceEquivalence:
     """The slot-space epoch against the per-combination scalar reference."""
 
@@ -351,6 +395,25 @@ class TestReferenceEquivalence:
                 )
                 saw_partial |= 0 < active < len(table)
         assert saw_partial  # the runs exercise both active and satisfied combinations
+
+    @pytest.mark.parametrize("dimension", [1, 3, 16])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_epochs_match_the_flat_scatter_bit_for_bit(self, variant, dimension):
+        rng = np.random.default_rng(41)
+        saw_partial = False
+        for trial in range(4):
+            table = _random_table(rng, users=7, size=30)
+            cfg = TrainConfig(epochs=1, dimension=dimension, variant=variant, seed=trial)
+            model = init_model(table, cfg, np.random.default_rng(trial))
+            packed = _pack_table(model, table)
+            for epoch in range(6):
+                expected, active = _flat_scatter_epoch(model.coords, packed, 0.2)
+                stats = _run_packed_epoch(model, packed, 0.2, epoch)
+                assert stats.active_count == active
+                assert np.array_equal(model.coords, expected)
+                assert model.coords.tobytes() == expected.tobytes()  # signed zeros too
+                saw_partial |= 0 < active < len(table)
+        assert saw_partial
 
     @pytest.mark.parametrize("variant", ["independent", "shared_susceptibility", "single_space"])
     def test_pack_resolves_rows_like_the_dict_views(self, variant):
