@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -92,16 +93,24 @@ def _write_manifest(
 
 
 def _check_outputs(outputs: list[Path | None], inputs: list[Path]) -> None:
-    """Refuse, before any work, an output path that is an existing directory
-    or names the same file as an input or an earlier output, comparing
-    resolved paths. Writing to a directory would fail after earlier outputs,
-    leaving them orphaned; writing to a named file would overwrite what the
-    command reads or has just written, and still report success."""
+    """Refuse, before any work, an output path that is an existing directory,
+    cannot be created, or names the same file as an input or an earlier
+    output, comparing resolved paths. A path cannot be created when it is a
+    symlink loop or one of its existing parents is not a directory; parents
+    that do not exist yet are made. Failing to write any of these would
+    leave earlier outputs orphaned; writing to a named file would overwrite
+    what the command reads or has just written, and still report success."""
     named = {os.path.realpath(path): f"input {path}" for path in inputs}
     for path in outputs:
         if path is None:
             continue
-        if path.is_dir():
+        try:
+            is_dir = stat.S_ISDIR(path.stat().st_mode)
+        except FileNotFoundError:
+            is_dir = False
+        except OSError as exc:
+            raise CliError(f"output path {path} cannot be created: {exc.strerror}") from None
+        if is_dir:
             raise CliError(f"output path {path} is a directory")
         resolved = os.path.realpath(path)  # unlike Path.resolve, no error on a link loop
         if resolved in named:

@@ -25,11 +25,13 @@ gathers its two pairs' slots. The table's key columns are never read.
 An epoch frees the gaps and active set before its scatter, then scatters
 one dimension at a time: each slot's gradient and its negation in that
 dimension go into one reused 2S weights vector, which `np.bincount` sums by
-row into that dimension's row of a (D, P) sum for P model points. The
-update is applied to the sums in place, through their transpose. No index
-or buffer of S·D entries is built beside the slot differences, so the
-working set peaks at about N + 2A + S·D words while the epoch finds the A
-active combinations, and at about S·D + P·D words while it scatters.
+row over the P model points, and that dimension's step is applied to its
+column of the coordinates straight from the sum. The slot differences are
+the only array of S·D entries an epoch holds, so its working set peaks at
+about S·D + N + 2A words while it finds the A active combinations, and at
+about S·D + 4S + 2P words while it scatters. `train` drops its table once
+the table is packed, so the epochs hold only the packed table's 3N + 4S
+words of indexes and margins.
 
 Divergence raises ValueError naming the epoch. Every epoch checks the
 distances it starts from, and train and run_epoch check the coordinates the
@@ -215,9 +217,17 @@ def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
 
 
 def _slot_distances(coords: np.ndarray, packed: _PackedTable):
-    """Per-slot difference x - y and its squared length."""
+    """Per-slot difference x - y and its squared length.
+
+    The susceptibility rows are gathered and subtracted ⌈S/D⌉ slots at a
+    time, so beside the S·D differences only about S words are gathered.
+    """
     diff = coords.take(packed.slot_x, axis=0)
-    diff -= coords.take(packed.slot_y, axis=0)
+    slots, dimension = diff.shape
+    chunk = max(1, -(-slots // dimension))
+    for start in range(0, slots, chunk):
+        rows = diff[start : start + chunk]  # `diff[a:b] -= x` would also copy rows back
+        rows -= coords.take(packed.slot_y[start : start + chunk], axis=0)
     return diff, np.einsum("ij,ij->i", diff, diff)
 
 
@@ -268,22 +278,21 @@ def _run_packed_epoch(
         # One dimension at a time: bincount adds in input order, so each
         # coordinate sums its terms in slot order, as one scatter over all
         # dimensions would, and nothing of S·D entries is built for it.
-        scale = 2.0 * (n_e - n_l)
-        weights = np.empty(2 * slots)
-        sums = np.empty((coords.shape[1], len(coords)))
-        for d, column in enumerate(diff.T):
-            np.multiply(scale, column, out=weights[:slots])
-            np.negative(weights[:slots], out=weights[slots:])
-            sums[d] = np.bincount(packed.rows, weights=weights, minlength=len(coords))
-        del diff
         touched = np.bincount(
             packed.rows, weights=np.concatenate([n_e, n_e + n_l]), minlength=len(coords)
         )
-        # untouched rows have a zero sum, so they move by exactly zero
-        accum = sums.T
-        accum *= learning_rate
-        accum /= np.maximum(touched, 1.0)[:, None]
-        coords -= accum
+        np.maximum(touched, 1.0, out=touched)
+        scale = 2.0 * (n_e - n_l)
+        del n_e, n_l
+        weights = np.empty(2 * slots)
+        for column, target in zip(diff.T, coords.T):  # `coords[:, d] -= x` would copy back
+            np.multiply(scale, column, out=weights[:slots])
+            np.negative(weights[:slots], out=weights[slots:])
+            step = np.bincount(packed.rows, weights=weights, minlength=len(coords))
+            # untouched rows have a zero sum, so they move by exactly zero
+            step *= learning_rate
+            step /= touched
+            target -= step
     return EpochStats(epoch, total_loss, active_count)
 
 
@@ -336,6 +345,7 @@ def train(
         return model, TrainHistory(0, 0)
     packed = _pack_table(model, table)
     history = TrainHistory(len(table), len(packed.slot_x))
+    del table  # the epochs read only `packed`, which keeps `avg_margin`
     for epoch in range(config.epochs):
         stats = _run_packed_epoch(model, packed, config.learning_rate, epoch)
         history.append(stats)

@@ -366,6 +366,62 @@ class TestCollidingOutputs:
                       report, f"input {report}", [model, test], out)
 
 
+
+class TestUncreatableOutputs:
+    """An output path that is a symlink loop, or has an existing parent that
+    is not a directory, is refused with exit 2 before any work: nothing is
+    written, so no earlier output is left without its manifest."""
+
+    def _refused(self, capsys, argv, path, out, kept):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert sorted(out.iterdir()) == sorted(kept)
+        assert f"output path {path} cannot be created" in capsys.readouterr().err
+
+    @staticmethod
+    def _loop(path):
+        other = path.with_name(path.name + ".other")
+        path.symlink_to(other.name)
+        other.symlink_to(path.name)
+        return [path, other]
+
+    def test_split_with_a_looping_test_file(self, corpus, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        kept = self._loop(out / "test.cascades")
+        self._refused(capsys, ["split", "--input", corpus, "--out-dir", out],
+                      out / "test.cascades", out, kept)
+
+    @pytest.mark.parametrize("log", ["loop", "file/x.log"])
+    def test_train_with_an_uncreatable_log(self, corpus, tmp_path, capsys, log):
+        out = tmp_path / "out"
+        out.mkdir()
+        if log == "loop":
+            kept = self._loop(out / log)
+        else:
+            (out / "file").write_text("not a directory\n")
+            kept = [out / "file"]
+        self._refused(capsys, ["train", "--train", corpus, "--dim", 2, "--epochs", 1,
+                               "--model-out", out / "m.iaem", "--log", out / log],
+                      out / log, out, kept)
+
+    def test_eval_with_a_looping_report_manifest(self, corpus, tmp_path, capsys):
+        model = tmp_path / "model.iaem"
+        assert run("train", "--train", corpus, "--dim", 2, "--epochs", 1,
+                   "--model-out", model) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        kept = self._loop(out / "r.jsonl.manifest.json")
+        self._refused(capsys, ["eval", "--model", model, "--test", corpus,
+                               "--out", out / "r.jsonl"],
+                      out / "r.jsonl.manifest.json", out, kept)
+
+    def test_missing_parents_are_still_made(self, corpus, tmp_path):
+        model, log = tmp_path / "a" / "m.iaem", tmp_path / "b" / "c" / "train.log"
+        assert run("train", "--train", corpus, "--dim", 2, "--epochs", 1,
+                   "--model-out", model, "--log", log) == 0
+        assert model.is_file() and log.is_file()
+
 def test_benchmark_tracer_runs_train(corpus, tmp_path):
     """bench/traced.py looks the table build up through `cli` and `training`;
     it must still trace one build per `train` and pass its checks."""

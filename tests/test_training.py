@@ -1,12 +1,14 @@
 import logging
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from casembed import training
 from casembed.combinations import ENTRY, Combination, CombinationTable, build_table
 from casembed.data import CascadeDataset
 from casembed.model import VARIANTS, EmbeddingModel, ModelError, init_model, save_model
@@ -17,6 +19,7 @@ from casembed.training import (
     _PackedTable,
     _pack_table,
     _run_packed_epoch,
+    _slot_distances,
     accumulate_gradients,
     hinge_loss,
     predicted_gap,
@@ -278,7 +281,9 @@ class TestRunEpoch:
         # One epoch may hold at its peak 2·(N + 2·S·D) words of 8 bytes for
         # N combinations over S slots in D dimensions, and no more than
         # 3·N + S·D + P·D words for P model points: nothing of the scatter
-        # grows with S·D beside the slot differences.
+        # grows with S·D beside the slot differences. At D = 64 it also holds
+        # no more than S·D + 3·N + 4·S + 2·P words: the slot differences are
+        # its one array of S·D entries, and nothing of P·D is built.
         world = generate_world(6, 40, 4, seed=5, noise=0.3)
         table = build_table(emit_cascades(world, 40, 16, seed=6), mode="full")
         cfg = TrainConfig(epochs=1, dimension=dimension, variant=variant)
@@ -290,6 +295,10 @@ class TestRunEpoch:
         assert peak <= 2 * 8 * words, f"{peak / 8 / words:.2f} words per bound word"
         words = 3 * len(table) + (len(packed.slot_x) + len(model.coords)) * cfg.dimension
         assert peak <= 8 * words, f"{peak / 8 / words:.2f} words per bound word"
+        if dimension == 64:
+            slots, points = len(packed.slot_x), len(model.coords)
+            words = slots * cfg.dimension + 3 * len(table) + 4 * slots + 2 * points
+            assert peak <= 8 * words, f"{peak / 8 / words:.2f} words per bound word"
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_packed_table_does_not_grow_with_dimension(self, variant):
@@ -303,6 +312,27 @@ class TestRunEpoch:
             return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
         assert packed_bytes(2) == packed_bytes(64)
+
+    @pytest.mark.parametrize("slots, dimension", [
+        pytest.param(0, 3, id="no-slots"),
+        pytest.param(5, 64, id="fewer-slots-than-dimensions"),
+        pytest.param(37, 3, id="more-slots-than-dimensions"),
+        pytest.param(11, 1, id="one-dimension"),
+        pytest.param(200, 64, id="dimension-64"),
+    ])
+    def test_slot_distances_match_one_gather(self, slots, dimension):
+        # the susceptibility rows are subtracted in chunks of ⌈S/D⌉ slots;
+        # every chunking must give the one-gather result bit for bit
+        rng = np.random.default_rng(slots + dimension)
+        coords = rng.normal(size=(23, dimension))
+        slot_x, slot_y = rng.integers(0, len(coords), size=(2, slots))
+        empty = np.empty(0, dtype=np.int64)
+        packed = _PackedTable(slot_x, slot_y, empty, empty, np.empty(0), empty, np.inf)
+        diff, d2 = _slot_distances(coords, packed)
+        expected = coords[slot_x] - coords[slot_y]
+        assert diff.shape == (slots, dimension)
+        assert np.array_equal(diff, expected)
+        assert np.array_equal(d2, np.einsum("ij,ij->i", expected, expected))
 
     @pytest.mark.parametrize("variant", ["independent", "shared_susceptibility", "single_space"])
     def test_slots_are_the_distinct_source_user_pairs(self, variant):
@@ -539,6 +569,28 @@ class TestTrain:
         stats = run_epoch(model, table, 0.01)
         assert stats.active_count == 0
         np.testing.assert_array_equal(model.coords, before)
+
+    def test_table_is_released_before_the_first_epoch(self, monkeypatch):
+        # the epochs read only the packed table, so `train` must not keep the
+        # combination table's other columns alive through them
+        built, epochs = [], []
+        build, run = training.build_table, training._run_packed_epoch
+
+        def build_and_watch(*args, **kwargs):
+            table = build(*args, **kwargs)
+            built.append(weakref.ref(table))
+            return table
+
+        def run_after_release(*args):
+            assert built[0]() is None, "the combination table is alive in an epoch"
+            epochs.append(args[-1])
+            return run(*args)
+
+        monkeypatch.setattr(training, "build_table", build_and_watch)
+        monkeypatch.setattr(training, "_run_packed_epoch", run_after_release)
+        _, history = train(self._dataset(), TrainConfig(epochs=3, dimension=4, seed=5))
+        assert len(built) == 1
+        assert epochs == [0, 1, 2] == [stats.epoch for stats in history]
 
     def test_empty_table_warns_and_runs_zero_epochs(self, caplog):
         dataset = CascadeDataset.from_token_rows([("c0", ["a", "b"])])  # no pairs
