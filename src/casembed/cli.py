@@ -28,7 +28,7 @@ from casembed.data import (
     CascadeError,
     _atomic_write,
     load_cascade_file,
-    save_cascade_file,
+    serialize_cascades,
     split_dataset,
 )
 from casembed.evaluate import evaluate, report_json_lines, report_tsv
@@ -68,28 +68,34 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    path: Path,
+def _commit(
+    manifest: Path,
     command: str,
     config: dict,
     inputs: list[Path],
-    outputs: list[Path],
+    outputs: dict[Path, bytes],
     seed: int,
     started: str,
-    stats: dict | None = None,
+    stats: dict,
 ) -> None:
-    manifest = {
+    """Write each output atomically, in the order given, making its missing
+    parents, then the manifest beside the first output. Output digests are of
+    the bytes written, so no output is read back: a FIFO's or a device's
+    digest is that of what its reader got."""
+    for path, data in outputs.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _atomic_write(path, data)
+    record = {
         "command": command,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "outputs": {str(p): hashlib.sha256(data).hexdigest() for p, data in outputs.items()},
         "seed": seed,
         "started_at": started,
         "finished_at": _now(),
+        "stats": stats,
     }
-    if stats is not None:
-        manifest["stats"] = stats
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
+    _atomic_write(manifest, json.dumps(record, indent=2, sort_keys=True).encode("utf-8"))
 
 
 def _check_outputs(outputs: list[Path | None], inputs: list[Path]) -> None:
@@ -140,18 +146,18 @@ def cmd_split(args) -> int:
             f" {train_set.num_cascades} train + {test_set.num_cascades} test;"
             " both sides need at least one cascade"
         )
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    save_cascade_file(train_set, train_path)
-    save_cascade_file(test_set, test_path)
-    _write_manifest(
+    _commit(
         manifest,
         "split",
         {"test_frac": args.test_frac, "input": str(args.input)},
         [args.input],
-        [train_path, test_path],
+        {
+            train_path: serialize_cascades(train_set).encode("utf-8"),
+            test_path: serialize_cascades(test_set).encode("utf-8"),
+        },
         args.seed,
         started,
-        stats={"train_cascades": train_set.num_cascades, "test_cascades": test_set.num_cascades},
+        {"train_cascades": train_set.num_cascades, "test_cascades": test_set.num_cascades},
     )
     print(f"split {dataset.num_cascades} cascades into {train_set.num_cascades} train"
           f" + {test_set.num_cascades} test under {args.out_dir}")
@@ -179,18 +185,12 @@ def cmd_train(args) -> int:
             " than two infected users, or dominant sampling dropped every pair"
             " (each seen as often in both orders)"
         )
-    args.model_out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(args.model_out, save_model(model))
     log_lines = "".join(
         f"{s.epoch}\t{s.total_loss:.10g}\t{s.active_count}\n" for s in history
     )
-    outputs = [args.model_out]
+    outputs = {args.model_out: save_model(model)}
     if args.log is not None:
-        args.log.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(args.log, log_lines.encode("utf-8"))
-        outputs.append(args.log)
-    else:
-        sys.stdout.write(log_lines)
+        outputs[args.log] = log_lines.encode("utf-8")
     infected = np.diff(dataset.offsets) - 1
     stats = {
         # the triples the table merges: its build's working set scales with them
@@ -203,7 +203,7 @@ def cmd_train(args) -> int:
         "final_loss": history[-1].total_loss if history else 0.0,
         "final_active": history[-1].active_count if history else 0,
     }
-    _write_manifest(
+    _commit(
         manifest,
         "train",
         {
@@ -219,8 +219,10 @@ def cmd_train(args) -> int:
         outputs,
         config.seed,
         started,
-        stats=stats,
+        stats,
     )
+    if args.log is None:
+        sys.stdout.write(log_lines)
     print(
         f"trained {stats['epochs_run']} epochs over {stats['table_entries']} combinations;"
         f" loss {stats['initial_loss']:.6g} -> {stats['final_loss']:.6g};"
@@ -240,9 +242,7 @@ def cmd_eval(args) -> int:
     report = evaluate(model, test_set)
     text = report_tsv(report) if args.tsv else report_json_lines(report)
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(args.out, text.encode("utf-8"))
-        _write_manifest(
+        _commit(
             Path(f"{args.out}.manifest.json"),
             "eval",
             {
@@ -251,10 +251,10 @@ def cmd_eval(args) -> int:
                 "format": "tsv" if args.tsv else "json",
             },
             [args.model, args.test],
-            [args.out],
+            {args.out: text.encode("utf-8")},
             0,
             started,
-            stats={
+            {
                 "map": report.map,
                 "cascades": report.num_cascades,
                 "unknown_sources": report.num_unknown_sources,
@@ -280,10 +280,7 @@ def cmd_synth(args) -> int:
     emissions = emit_cascades(
         world, args.cascades_per_source, args.length, seed=args.seed + 1
     )
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    save_cascade_file(emissions, cascade_path)
-    _atomic_write(world_path, save_model(world.ground_truth))
-    _write_manifest(
+    _commit(
         manifest,
         "synth",
         {
@@ -295,10 +292,13 @@ def cmd_synth(args) -> int:
             "noise": args.noise,
         },
         [],
-        [cascade_path, world_path],
+        {
+            cascade_path: serialize_cascades(emissions).encode("utf-8"),
+            world_path: save_model(world.ground_truth),
+        },
         args.seed,
         started,
-        stats={"cascades": emissions.num_cascades, "users": emissions.num_users},
+        {"cascades": emissions.num_cascades, "users": emissions.num_users},
     )
     print(
         f"emitted {emissions.num_cascades} cascades over {emissions.num_users} users"
@@ -397,10 +397,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CascadeError, ModelError, ValueError, OSError) as exc:
+    except (CliError, CascadeError, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

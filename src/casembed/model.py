@@ -409,11 +409,13 @@ def _pack_points(out: bytearray, model: EmbeddingModel, block: _Block):
     records = np.empty(len(block.ids), dtype=_point_dtype(model.dimension))
     records["id"] = block.ids
     records["x"] = model.coords[block.rows]
-    out.extend(records.tobytes())
+    out += memoryview(records)  # `out += records` would be numpy's in-place add
 
 
-def save_model(model: EmbeddingModel) -> bytes:
-    """Serialize a model to its binary format (coordinates bit-exact)."""
+def save_model(model: EmbeddingModel) -> bytearray:
+    """Serialize a model to its binary format (coordinates bit-exact). The
+    file is built in, and returned as, one `bytearray`, so no second copy of
+    it is made."""
     out = bytearray()
     out.extend(_MAGIC)
     out.extend(struct.pack("<IIB", _VERSION, model.dimension, _VARIANT_TAGS[model.variant]))
@@ -431,7 +433,7 @@ def save_model(model: EmbeddingModel) -> bytes:
             _pack_points(out, model, block)
     elif model.variant == "shared_susceptibility":
         _pack_points(out, model, model._shared_block)
-    return bytes(out)
+    return out
 
 
 def _u32(data: bytes, offset: int) -> int:

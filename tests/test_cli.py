@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,17 @@ from casembed.training import TrainConfig
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def _cli_env():
+    """The environment of a subprocess that imports this package's source."""
+    src = Path(cli.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.fixture()
@@ -422,6 +435,79 @@ class TestUncreatableOutputs:
                    "--model-out", model, "--log", log) == 0
         assert model.is_file() and log.is_file()
 
+
+_RUN_CLI = "import sys, casembed.cli; sys.exit(casembed.cli.main(sys.argv[1:]))"
+
+
+class TestManifestDigests:
+    """A manifest records the SHA-256 of each input as read and of each
+    output as written: outputs are never read back, so a FIFO or a device
+    output records the bytes its reader got."""
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_fifo_output_records_what_its_reader_got(self, corpus, tmp_path, command):
+        model, fifo = tmp_path / "model.iaem", tmp_path / "out.fifo"
+        if command == "eval":
+            assert run("train", "--train", corpus, "--dim", 2, "--epochs", 1,
+                       "--model-out", model) == 0
+            argv = ["eval", "--model", model, "--test", corpus, "--out", fifo]
+            manifest = Path(f"{fifo}.manifest.json")
+        else:
+            argv = ["train", "--train", corpus, "--dim", 2, "--epochs", 3,
+                    "--model-out", model, "--log", fifo]
+            manifest = Path(f"{model}.manifest.json")
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        try:
+            # in a subprocess, so that a command that blocks on the FIFO fails
+            # this test rather than hanging the suite
+            proc = subprocess.run([sys.executable, "-c", _RUN_CLI, *map(str, argv)],
+                                  capture_output=True, text=True, timeout=60, env=_cli_env())
+            reader.join(timeout=10)
+        finally:
+            if reader.is_alive():  # the command never opened the FIFO: release the reader
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        assert proc.returncode == 0, proc.stderr
+        assert received and received[0]
+        assert json.loads(manifest.read_text())["outputs"][str(fifo)] == _sha256(received[0])
+
+    def test_dev_null_log_records_the_log_written(self, corpus, tmp_path):
+        digests = []
+        for log in (tmp_path / "train.log", Path(os.devnull)):
+            model = tmp_path / f"{log.name}.iaem"
+            assert run("train", "--train", corpus, "--dim", 2, "--epochs", 3,
+                       "--model-out", model, "--log", log) == 0
+            manifest = json.loads(Path(f"{model}.manifest.json").read_text())
+            digests.append(manifest["outputs"][str(log)])
+        assert digests == [_sha256((tmp_path / "train.log").read_bytes())] * 2
+
+    def test_every_digest_is_of_the_file_on_disk(self, tmp_path):
+        synth, split = tmp_path / "synth", tmp_path / "split"
+        corpus, model = synth / "synthetic.cascades", tmp_path / "m.iaem"
+        train, test = split / "train.cascades", split / "test.cascades"
+        log, report = tmp_path / "m.log", tmp_path / "r.tsv"
+        steps = [
+            (["synth", "--sources", 3, "--users-per-source", 6, "--dim", 2,
+              "--cascades-per-source", 10, "--len", 4, "--out-dir", synth],
+             synth / "synth.manifest.json", [], [corpus, synth / "world.iaem"]),
+            (["split", "--input", corpus, "--out-dir", split],
+             split / "split.manifest.json", [corpus], [train, test]),
+            (["train", "--train", train, "--dim", 2, "--epochs", 2,
+              "--model-out", model, "--log", log],
+             Path(f"{model}.manifest.json"), [train], [model, log]),
+            (["eval", "--model", model, "--test", test, "--tsv", "--out", report],
+             Path(f"{report}.manifest.json"), [model, test], [report]),
+        ]
+        for argv, manifest, inputs, outputs in steps:
+            assert run(*argv) == 0
+            record = json.loads(manifest.read_text())
+            for key, paths in (("inputs", inputs), ("outputs", outputs)):
+                assert record[key] == {str(p): _sha256(p.read_bytes()) for p in paths}, argv[0]
+
+
 def test_benchmark_tracer_runs_train(corpus, tmp_path):
     """bench/traced.py looks the table build up through `cli` and `training`;
     it must still trace one build per `train` and pass its checks."""
@@ -575,9 +661,6 @@ def test_commands_do_not_import_numpy_ma(corpus, tmp_path):
     """Start-up cost: importing numpy.ma adds about 1 MB of peak RSS, and
     np.unique without return flags imports it through np.ma.is_masked
     (numpy 2.4), as can np.isin. No command needs it."""
-    src = Path(cli.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
     steps = [
         ["split", "--input", corpus, "--out-dir", tmp_path],
         ["train", "--train", tmp_path / "train.cascades", "--dim", 2, "--epochs", 2,
@@ -587,6 +670,6 @@ def test_commands_do_not_import_numpy_ma(corpus, tmp_path):
     ]
     for argv in steps:
         proc = subprocess.run([sys.executable, "-c", _IMPORTS_MA, *map(str, argv)],
-                              capture_output=True, text=True, timeout=300, env=env)
+                              capture_output=True, text=True, timeout=300, env=_cli_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False", (argv[0], proc.stdout)

@@ -255,6 +255,15 @@ class TestSaveLoad:
         assert again.tokens == model.tokens
         assert [p.name for p in tmp_path.iterdir()] == ["m.iaem"]
 
+    def test_save_holds_one_copy_of_the_file(self, traced_peak):
+        """The file is built in the buffer `save_model` returns: with many
+        small blocks its peak stays near one file size, where a copy of the
+        finished buffer would double it."""
+        model = generate_world(40, 50, 32, seed=1).ground_truth
+        blob, peak = traced_peak(save_model, model)
+        assert peak < 1.25 * len(blob), peak / len(blob)
+        assert isinstance(blob, bytearray)
+
     def test_round_trip_empty(self):
         model = init_model(_table(), Cfg(3), np.random.default_rng(0))
         again = load_model(save_model(model))
