@@ -199,9 +199,9 @@ def cmd_train(args) -> int:
         "points": model.num_points,
         "slots": history.slots,
         "epochs_run": len(history),
-        "initial_loss": history[0].total_loss if history else 0.0,
-        "final_loss": history[-1].total_loss if history else 0.0,
-        "final_active": history[-1].active_count if history else 0,
+        "initial_loss": history[0].total_loss if history else None,
+        "final_loss": history[-1].total_loss if history else None,
+        "final_active": history[-1].active_count if history else None,
     }
     _commit(
         manifest,
@@ -223,11 +223,9 @@ def cmd_train(args) -> int:
     )
     if args.log is None:
         sys.stdout.write(log_lines)
-    print(
-        f"trained {stats['epochs_run']} epochs over {stats['table_entries']} combinations;"
-        f" loss {stats['initial_loss']:.6g} -> {stats['final_loss']:.6g};"
-        f" model -> {args.model_out}"
-    )
+    loss = f" loss {stats['initial_loss']:.6g} -> {stats['final_loss']:.6g};" if history else ""
+    print(f"trained {stats['epochs_run']} epochs over {stats['table_entries']} combinations;"
+          f"{loss} model -> {args.model_out}")
     return EXIT_OK
 
 
@@ -343,17 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="fit latent coordinates to a cascade file")
     tr.add_argument("--train", type=Path, required=True, help="training cascade file")
-    tr.add_argument("--dim", type=int, default=75, help="latent dimension (default 75)")
+    tr.add_argument("--dim", type=int, default=TrainConfig.dimension,
+                    help="latent dimension (default %(default)s)")
     tr.add_argument("--epochs", type=int, required=True, help="maximum epochs")
-    tr.add_argument("--lr", type=_finite_float, default=0.01,
-                    help="learning rate (default 0.01)")
-    tr.add_argument("--mu", type=_finite_float, default=2.0,
-                    help="margin log base (default 2)")
-    tr.add_argument("--sampling", choices=("dominant", "full"), default="dominant",
-                    help="combination sampling mode (default dominant)")
-    tr.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="independent",
-                    help="latent space sharing (default independent)")
-    tr.add_argument("--seed", type=_seed, default=0)
+    tr.add_argument("--lr", type=_finite_float, default=TrainConfig.learning_rate,
+                    help="learning rate (default %(default)s)")
+    tr.add_argument("--mu", type=_finite_float, default=TrainConfig.mu,
+                    help="margin log base (default %(default)s)")
+    tr.add_argument("--sampling", choices=("dominant", "full"), default=TrainConfig.sampling,
+                    help="combination sampling mode (default %(default)s)")
+    tr.add_argument("--variant", choices=sorted(_VARIANT_FLAGS),
+                    default={v: k for k, v in _VARIANT_FLAGS.items()}[TrainConfig.variant],
+                    help="latent space sharing (default %(default)s)")
+    tr.add_argument("--seed", type=_seed, default=TrainConfig.seed)
     tr.add_argument("--model-out", type=Path, required=True)
     tr.add_argument("--log", type=Path, default=None,
                     help="epoch TSV log file (default: print to stdout)")

@@ -340,8 +340,15 @@ def serialize_cascades(dataset: CascadeDataset) -> str:
 
 
 def load_cascade_file(path) -> CascadeDataset:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_cascade_file(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_cascade_file(handle)
+    except UnicodeDecodeError:  # its position counts from the decoder's chunk, not the file
+        with open(path, "rb") as handle:  # a byte that is not UTF-8 becomes a lone surrogate
+            text = handle.read().decode("utf-8", "surrogateescape")
+    lines = _LINE_BREAK.split(text[:re.search("[\udc80-\udcff]", text).start()])
+    parse_cascade_file(lines[:-1])  # an earlier line's error comes first
+    raise CascadeParseError(f"line {len(lines)}: not valid UTF-8")
 
 
 def _atomic_write(path, data: bytes) -> None:

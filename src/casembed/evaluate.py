@@ -213,38 +213,31 @@ def evaluate(
     cascades = len(offsets) - 1
     truth_total = np.diff(offsets) - 1
     users = _model_ids(model, test)[test.flat_users]  # -1: not in the model
-    distinct, source_at = np.unique(users[offsets[:-1]], return_inverse=True)
-    # Rank each known source once: part p holds the ranked model ids of
-    # source distinct[known[p]], in rank order.
+    distinct, part = np.unique(users[offsets[:-1]], return_inverse=True)
+    # Part p holds the ranked model ids of source distinct[p], in rank order:
+    # each known source is ranked once, and an unknown source's part is empty.
     known_users = model.influence_users()
-    known, parts, harmonic = [], [], []
-    for i, source in enumerate(distinct.tolist()):
-        if source in known_users:
-            ranking = rank_for_source(model, source).ranking
-            known.append(i)
-            parts.append(np.fromiter(map(itemgetter(0), ranking), np.int64, len(ranking)))
-            harmonic.append(math.fsum(1.0 / k for k in range(1, len(ranking) + 1)))
-    part_of = np.full(len(distinct), -1, dtype=np.int64)
-    part_of[known] = np.arange(len(known))
-    part = part_of[source_at]  # per cascade, -1 for an unknown source
-    # per part, then a last entry that part -1 reads: no candidates, H_0 = 0
-    sizes = np.array([len(ranked) for ranked in parts] + [0], dtype=np.int64)
+    known = np.fromiter(map(known_users.__contains__, distinct.tolist()), bool, len(distinct))
+    parts = []
+    for source, source_known in zip(distinct.tolist(), known.tolist()):
+        ranking = rank_for_source(model, source).ranking if source_known else ()
+        parts.append(np.fromiter(map(itemgetter(0), ranking), np.int64, len(ranking)))
+    sizes = np.array([len(ranked) for ranked in parts], dtype=np.int64)
     candidate_count = sizes[part]
-    harmonic = np.array(harmonic + [0.0])[part]
+    harmonic = np.array([math.fsum(1.0 / k for k in range(1, n + 1)) for n in sizes.tolist()])
     # Key a candidate by part · (width + 1) + user; users no truth user can
     # be (past the largest truth id, or negative) share the key of slot width.
     width = int(users.max()) + 1
-    key = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    key = np.concatenate(parts)
     del parts
     np.copyto(key, width, where=(key < 0) | (key > width))
     key += np.repeat(np.arange(len(sizes), dtype=np.int64) * (width + 1), sizes)
     ordered, index = _sorted_runs(key)  # index: place in the concatenated rankings
     del key
-    # every infected user of a known-source cascade, with its truth key
+    # every infected user the model has, with its truth key
     infected = np.ones(len(users), dtype=bool)
     infected[offsets[:-1]] = False
     cascade_of = np.repeat(np.arange(cascades), truth_total + 1)
-    infected &= part[cascade_of] >= 0
     infected &= users >= 0
     truth_cascade = cascade_of[infected]
     del cascade_of
@@ -267,11 +260,11 @@ def evaluate(
     hits = np.arange(1, len(position) + 1) - np.repeat(
         np.cumsum(hits_found) - hits_found, hits_found)
     ap = np.bincount(truth_cascade, weights=hits / position, minlength=cascades) / truth_total
-    chance_ap = _chance_aps(hits_found, truth_total, candidate_count, harmonic)
+    chance_ap = _chance_aps(hits_found, truth_total, candidate_count, harmonic[part])
     # a running sum in cascade order, as a loop over the scores would add
     mean_ap = sum(ap.tolist()) / cascades
     return EvalReport(test.cascade_ids, ap, candidate_count, truth_total - hits_found,
-                      part >= 0, chance_ap, mean_ap)
+                      known[part], chance_ap, mean_ap)
 
 
 def _chance_aps(found, truth_total, candidates, harmonic) -> np.ndarray:

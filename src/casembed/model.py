@@ -37,7 +37,8 @@ Tokens are distinct. A user id occurs at most once per point block (and a
 source id once among the per-source blocks); when the token table is
 non-empty every id indexes into it. Coordinates are finite. The loader reads
 each field at an explicit byte offset and reports any failure as a
-`ModelFormatError` at the offset of the field it spoils.
+`ModelFormatError` at the offset of the field it spoils; when several fields
+are damaged, the first in file order is reported.
 """
 
 from __future__ import annotations
@@ -491,28 +492,30 @@ def _check_ids(ids: np.ndarray, start: int, record: int, id_limit: int | None):
 
 
 def _read_points(data: bytes, offset: int, dim: int, id_limit: int | None,
-                 parts: list) -> tuple[_Block, int]:
-    """Read the point block at `offset` with one structured read; returns the
-    block and the offset after it. Its coordinates join `parts` as (byte
-    offset of its first point, its first row, (count, dim) array); its rows
-    continue from the points read before it."""
+                 first_row: int) -> tuple[_Block, np.ndarray, int]:
+    """Read and check the point block at `offset` with one structured read,
+    numbering its rows from `first_row`; returns the block, its (count, dim)
+    coordinates and the offset after it."""
     count = _u32(data, offset)
     start = offset + 4
     record = 4 + 8 * dim
     fits = (len(data) - start) // record
     if count > fits:
         raise ModelFormatError("truncated model data", start + fits * record)
-    first_row = parts[-1][1] + len(parts[-1][2]) if parts else 0
     rows = np.arange(first_row, first_row + count, dtype=np.int64)
     if not count:
-        return _Block(np.empty(0, dtype=np.int64), rows), start
+        return _Block(np.empty(0, dtype=np.int64), rows), np.empty((0, dim)), start
     if record > np.iinfo(np.int32).max:
         raise ModelFormatError(f"dimension {dim} is too large", 8)
     points = np.frombuffer(data, dtype=_point_dtype(dim), count=count, offset=start)
     ids = points["id"].astype(np.int64)
     _check_ids(ids, start, record, id_limit)
-    parts.append((start, first_row, points["x"]))
-    return _Block(ids, rows), start + count * record
+    coords = points["x"]
+    if not np.isfinite(coords).all():
+        # the first non-finite value in row-major order is the first in the file
+        point, col = divmod(int(np.flatnonzero(~np.isfinite(coords))[0]), dim)
+        raise ModelFormatError("coordinates must be finite", start + point * record + 4 + 8 * col)
+    return _Block(ids, rows), coords, start + count * record
 
 
 def load_model(data: bytes) -> EmbeddingModel:
@@ -535,8 +538,9 @@ def load_model(data: bytes) -> EmbeddingModel:
     variant = VARIANTS[tag]
     tokens, offset = _read_tokens(data, 13)
     id_limit = len(tokens) if tokens else None
-    parts: list[tuple[int, int, np.ndarray]] = []
-    influence, offset = _read_points(data, offset, dim, id_limit, parts)
+    influence, view, offset = _read_points(data, offset, dim, id_limit, 0)
+    views = [view]  # each block's coordinates, in file order
+    rows = len(view)  # the next block's first row
     spaces: dict[int, _Block] | None = None
     shared: _Block | None = None
     if variant == "independent":
@@ -550,20 +554,15 @@ def load_model(data: bytes) -> EmbeddingModel:
                 raise ModelFormatError(
                     f"id {source} is past the token table of {id_limit}", offset
                 )
-            spaces[source], offset = _read_points(data, offset + 4, dim, id_limit, parts)
+            spaces[source], view, offset = _read_points(data, offset + 4, dim, id_limit, rows)
+            views.append(view)
+            rows += len(view)
     elif variant == "shared_susceptibility":
-        shared, offset = _read_points(data, offset, dim, id_limit, parts)
+        shared, view, offset = _read_points(data, offset, dim, id_limit, rows)
+        views.append(view)
     if offset != len(data):
         raise ModelFormatError("trailing bytes after model", offset)
-    coords = (np.concatenate([x for _, _, x in parts]) if parts
-              else np.zeros((0, dim))).astype(np.float64, copy=False)
-    if not np.isfinite(coords).all():
-        # Rows follow file order, so the first non-finite value in row-major
-        # order is the first in the file.
-        row, col = divmod(int(np.flatnonzero(~np.isfinite(coords))[0]), dim)
-        start, first, _ = next(part for part in reversed(parts) if part[1] <= row)
-        raise ModelFormatError("coordinates must be finite",
-                               start + (row - first) * (4 + 8 * dim) + 4 + 8 * col)
+    coords = np.concatenate(views).astype(np.float64, copy=False)
     return EmbeddingModel._from_blocks(dim, variant, coords, influence, spaces, shared,
                                        tuple(tokens))
 

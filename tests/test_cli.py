@@ -199,6 +199,16 @@ class TestTrain:
         reference = init_model(table, cfg, np.random.default_rng(cfg.seed))
         assert saved == reference
 
+    def test_epochs_zero_records_no_loss(self, corpus, tmp_path, capsys):
+        model_path = tmp_path / "init.iaem"
+        assert run("train", "--train", corpus, "--dim", 2, "--epochs", 0,
+                   "--model-out", model_path) == 0
+        stats = json.loads(Path(f"{model_path}.manifest.json").read_text())["stats"]
+        assert stats["epochs_run"] == 0
+        assert stats["initial_loss"] is stats["final_loss"] is stats["final_active"] is None
+        out = capsys.readouterr().out
+        assert out.startswith("trained 0 epochs over") and "loss" not in out
+
     def test_full_sampling_reports_no_fewer_entries(self, corpus, tmp_path):
         sizes = {}
         for mode in ("dominant", "full"):
@@ -633,6 +643,28 @@ class TestParser:
     def test_usage_error_exit_2(self):
         assert run("train", "--epochs", 1) == 2  # missing required flags
         assert run("no-such-command") == 2
+
+    def test_bare_train_runs_train_configs_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["train", "--train", "t", "--epochs", "1", "--model-out", "m"])
+        parsed = TrainConfig(epochs=1, dimension=args.dim, learning_rate=args.lr, mu=args.mu,
+                             sampling=args.sampling, variant=cli._VARIANT_FLAGS[args.variant],
+                             seed=args.seed)
+        assert parsed == TrainConfig(epochs=1)
+
+    @pytest.mark.parametrize("command", ["split", "train", "eval"])
+    def test_undecodable_line_exit_2_naming_it(self, corpus, tmp_path, capsys, command):
+        bad = tmp_path / "bad.cascades"
+        lines = corpus.read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        bad.write_bytes(b"\n".join(lines))
+        argv = {
+            "split": ("split", "--input", bad, "--out-dir", tmp_path / "s"),
+            "train": ("train", "--train", bad, "--epochs", 1, "--model-out", tmp_path / "m"),
+            "eval": ("eval", "--model", corpus.parent / "world.iaem", "--test", bad),
+        }[command]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == "error: line 3: not valid UTF-8\n"
 
     def test_ground_truth_model_scores_one_on_full_pools(self, tmp_path, capsys):
         out = tmp_path / "w"

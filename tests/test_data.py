@@ -213,6 +213,35 @@ def test_string_splits_lines_like_a_file(tmp_path):
     assert _contents(ds) == _contents(load_cascade_file(path))
 
 
+class TestUndecodableLine:
+    """A byte that is not UTF-8 names its line, counted from the start of the
+    file under every line ending, not from the decoder's chunk."""
+
+    def test_bad_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.cascades"
+        path.write_bytes(b"c1\ta b\r\n# note\rc3\ta \xff b\nc4\tlonely\n")
+        with pytest.raises(CascadeParseError, match=r"^line 3: not valid UTF-8$"):
+            load_cascade_file(path)
+
+    @pytest.mark.parametrize("line, error, message", [
+        ("c2\tlonely", CascadeParseError, "line 2: expected"),
+        ("c2\tx y x", CascadeValidationError, "line 2: duplicate user 'x'"),
+    ], ids=["malformed", "repeat"])
+    def test_earlier_line_error_comes_first(self, tmp_path, line, error, message):
+        path = tmp_path / "bad.cascades"
+        path.write_bytes(b"c1\ta b\n" + line.encode() + b"\nc3\ta \xc3 b\n")
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            load_cascade_file(path)
+
+    def test_line_past_the_first_chunk(self, tmp_path):
+        lines = [f"c{k}\tu{k} v{k} w{k}".encode() for k in range(5000)]
+        lines[4000] = b"c4000\tu\xe9 v"
+        path = tmp_path / "bad.cascades"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(CascadeParseError, match=r"^line 4001: not valid UTF-8$"):
+            load_cascade_file(path)
+
+
 # Grammar of a cascade file: an id is any text without tab or line break that
 # does not start with '#' and is not blank; a user token is any text without
 # whitespace. Both may hold characters that other line splitters break at.

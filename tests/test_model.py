@@ -375,6 +375,43 @@ class TestSaveLoad:
                 load_model(bytes(blob))
             assert err.value.offset == bad
 
+    @pytest.mark.parametrize("later", ["trailing bytes", "repeated id", "truncated block"])
+    def test_first_damaged_field_in_file_order_reported(self, later):
+        """A NaN in the influence block is reported at its own offset, whatever
+        damage the file also holds after it."""
+        model = EmbeddingModel(2, "independent", np.zeros((6, 2)), {0: 0, 1: 1},
+                               spaces={0: {2: 2, 3: 3}, 1: {2: 4, 3: 5}})
+        blob = bytearray(save_model(model))
+        # header, empty token table, influence count, then 20-byte points
+        # (u32 id + two float64); point 0's first coordinate follows its id
+        nan = 13 + 4 + 4 + 4
+        # then the space count and source 0's block (u32 source, u32 count,
+        # two points), source 1's id and count, and its second point
+        last = 13 + 4 + 4 + 2 * 20 + 4 + (4 + 4 + 2 * 20) + 4 + 4 + 20
+        assert blob[last : last + 4] == (3).to_bytes(4, "little")
+        blob[nan : nan + 8] = struct.pack("<d", math.nan)
+        if later == "trailing bytes":
+            blob += b"\x00"
+        elif later == "repeated id":
+            blob[last : last + 4] = (2).to_bytes(4, "little")
+        else:  # source 1's block declares two points but holds one and a half
+            del blob[-1]
+        with pytest.raises(ModelFormatError, match="finite") as err:
+            load_model(bytes(blob))
+        assert err.value.offset == nan
+
+    def test_non_finite_coordinate_in_a_later_block_reported_at_its_offset(self):
+        model = EmbeddingModel(1, "shared_susceptibility", np.zeros((3, 1)), {0: 0},
+                               shared_space={1: 1, 2: 2})
+        blob = bytearray(save_model(model))
+        # header, empty token table, influence block of one 12-byte point,
+        # the shared count, one point, then the second point's coordinate
+        bad = 13 + 4 + 4 + 12 + 4 + 12 + 4
+        blob[bad : bad + 8] = struct.pack("<d", math.inf)
+        with pytest.raises(ModelFormatError, match="finite") as err:
+            load_model(bytes(blob))
+        assert err.value.offset == bad
+
 
 @st.composite
 def _models(draw):
