@@ -315,6 +315,15 @@ def _check_repeats(ids, cascade_ids, linenos, users, lengths):
     return flat, offsets
 
 
+def _check_cascade_ids(cascade_ids: Iterable[str]) -> None:
+    """Raise CascadeValidationError for the first id a line of text cannot carry."""
+    for cid in cascade_ids:
+        if not cid.strip() or cid.startswith("#") or "\t" in cid or "\n" in cid or "\r" in cid:
+            raise CascadeValidationError(
+                f"cascade id {cid!r} is blank, starts with '#' or holds a tab or line break"
+            )
+
+
 def serialize_cascades(dataset: CascadeDataset) -> str:
     """Render a dataset back to cascade file text (parse round-trips).
 
@@ -326,11 +335,7 @@ def serialize_cascades(dataset: CascadeDataset) -> str:
     if " ".join(tokens).split() != list(tokens):
         bad = next(tok for tok in tokens if tok.split() != [tok])
         raise CascadeValidationError(f"token {bad!r} is empty or holds whitespace")
-    for cid in dataset.cascade_ids:
-        if not cid.strip() or cid.startswith("#") or "\t" in cid or "\n" in cid or "\r" in cid:
-            raise CascadeValidationError(
-                f"cascade id {cid!r} is blank, starts with '#' or holds a tab or line break"
-            )
+    _check_cascade_ids(dataset.cascade_ids)
     words = list(map(tokens.__getitem__, dataset.flat_users.tolist()))
     bounds = dataset.offsets.tolist()
     return "".join(
@@ -400,16 +405,17 @@ def split_dataset(
 
     The test split receives round(test_fraction * S) cascades chosen by a
     seeded shuffle; both splits keep the parent token table and preserve the
-    original cascade order.
+    original cascade order. Raises CascadeError if either would be empty.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     total = dataset.num_cascades
-    if total < 2:
-        raise CascadeError("cannot split a dataset with fewer than 2 cascades")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(total)
     n_test = int(test_fraction * total + 0.5)
+    if not 0 < n_test < total:
+        raise CascadeError(f"test fraction {test_fraction} splits {total} cascades into"
+                           f" {total - n_test} train + {n_test} test; both sides need at"
+                           " least one cascade")
+    order = np.random.default_rng(seed).permutation(total)
     in_test = np.zeros(total, dtype=bool)
     in_test[order[:n_test]] = True
     return dataset._take(np.flatnonzero(~in_test)), dataset._take(np.flatnonzero(in_test))

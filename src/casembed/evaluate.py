@@ -41,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from casembed.combinations import _sorted_runs
-from casembed.data import Cascade, CascadeDataset
+from casembed.data import Cascade, CascadeDataset, _check_cascade_ids
 from casembed.model import EmbeddingModel, ModelError
 
 __all__ = [
@@ -311,7 +311,9 @@ def report_json_lines(report: EvalReport) -> str:
 
 
 def report_tsv(report: EvalReport) -> str:
-    """TSV rows mirroring the JSON report; summary on a '#' trailer line."""
+    """TSV rows mirroring the JSON report; summary on a '#' trailer line. A
+    cascade id a row cannot carry raises CascadeValidationError, naming it."""
+    _check_cascade_ids(report.cascade_ids)
     rows = ["cascade_id\tap\tcandidates\tunseen"]
     rows.extend(
         f"{cascade_id}\t{ap!r}\t{candidates}\t{unseen}"

@@ -154,33 +154,31 @@ class EmbeddingModel:
         elif spaces is not None or shared_space is not None:
             raise ModelError("single_space models store all points as influence")
         self._assign(dimension, variant, coords, _Block.of(influence), space_blocks, shared,
-                     tokens)
+                     _token_ids(tuple(tokens)))
         rows = np.concatenate([block.rows for block in self._blocks()])
         if len(rows) and not (0 <= rows.min() and rows.max() < len(coords)):
             bad = rows[(rows < 0) | (rows >= len(coords))][0]
             raise ModelError(f"coordinate row {bad} out of bounds for {len(coords)} points")
 
-    def _assign(self, dimension, variant, coords, influence, spaces, shared, tokens):
-        """Set the model's state from its blocks; single_space models serve
-        susceptibility from the influence block."""
+    def _assign(self, dimension, variant, coords, influence, spaces, shared, token_ids):
+        """Set the model's state from its blocks and its `{token: id}` table;
+        single_space models serve susceptibility from the influence block."""
         self.dimension = int(dimension)
         self.variant = variant
         self.coords = coords
         self._influence_block: _Block = influence
         self._space_blocks: dict[int, _Block] | None = spaces
         self._shared_block: _Block | None = influence if variant == "single_space" else shared
-        self.tokens = tuple(tokens)
-        self._token_ids = {tok: i for i, tok in enumerate(self.tokens)}
-        if len(self._token_ids) != len(self.tokens):
-            raise ModelError("token table contains duplicate tokens")
+        self.tokens = tuple(token_ids)
+        self._token_ids = token_ids
 
     @classmethod
-    def _from_blocks(cls, dimension, variant, coords, influence, spaces=None, shared=None,
-                     tokens=()) -> EmbeddingModel:
+    def _from_blocks(cls, dimension, variant, coords, influence, spaces, shared,
+                     token_ids) -> EmbeddingModel:
         """A model over blocks whose rows are known to be in bounds and
-        coordinates known to be finite."""
+        coordinates finite; it adopts `token_ids`, a `{token: id}` dict in id order."""
         model = cls.__new__(cls)
-        model._assign(dimension, variant, coords, influence, spaces, shared, tokens)
+        model._assign(dimension, variant, coords, influence, spaces, shared, token_ids)
         return model
 
     def _blocks(self) -> list[_Block]:
@@ -318,6 +316,14 @@ class EmbeddingModel:
         return self._state() == other._state()
 
 
+def _token_ids(tokens) -> dict[str, int]:
+    """The `{token: id}` table of a token sequence; a repeat raises ModelError."""
+    ids = {tok: i for i, tok in enumerate(tokens)}
+    if len(ids) != len(tokens):
+        raise ModelError("token table contains duplicate tokens")
+    return ids
+
+
 def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
     """Allocate and randomly initialize coordinates for a combination table.
 
@@ -386,7 +392,7 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
     half = 0.5 / dim
     coords = rng.uniform(-half, half, size=(len(point), dim))
     return EmbeddingModel._from_blocks(dim, variant, coords, influence, spaces, shared,
-                                       tuple(table.tokens or ()))
+                                       _token_ids(table.tokens or ()))
 
 
 # -- serialization ---------------------------------------------------------
@@ -444,17 +450,16 @@ def _u32(data: bytes, offset: int) -> int:
     return _U32.unpack_from(data, offset)[0]
 
 
-def _read_tokens(data: bytes, offset: int) -> tuple[list[str], int]:
+def _read_tokens(data: bytes, offset: int) -> tuple[dict[str, int], int]:
     """Read the token table at `offset`, rejecting truncation, invalid UTF-8
     and a repeated token, each at the offset of the first field it spoils;
-    returns the tokens and the offset after the table."""
+    returns the `{token: id}` table and the offset after it."""
     count = _u32(data, offset)
     offset += 4
     size = len(data)
     unpack = _U32.unpack_from
-    tokens: list[str] = []
-    seen: set[str] = set()
-    for _ in range(count):
+    ids: dict[str, int] = {}
+    for i in range(count):
         if offset + 4 > size:
             raise ModelFormatError("truncated model data", offset)
         start = offset + 4
@@ -462,15 +467,13 @@ def _read_tokens(data: bytes, offset: int) -> tuple[list[str], int]:
         if end > size:
             raise ModelFormatError("truncated model data", start)
         try:
-            token = data[start:end].decode("utf-8")
+            token = str(data[start:end], "utf-8")
         except UnicodeDecodeError:
             raise ModelFormatError("token is not valid UTF-8", start)
-        if token in seen:
+        if ids.setdefault(token, i) != i:
             raise ModelFormatError(f"token {token!r} repeats", offset)
-        seen.add(token)
-        tokens.append(token)
         offset = end
-    return tokens, offset
+    return ids, offset
 
 
 def _check_ids(ids: np.ndarray, start: int, record: int, id_limit: int | None):
@@ -519,8 +522,8 @@ def _read_points(data: bytes, offset: int, dim: int, id_limit: int | None,
 
 
 def load_model(data: bytes) -> EmbeddingModel:
-    """Parse model bytes; raises ModelFormatError (with offset) on damage."""
-    data = bytes(data)
+    """Parse model bytes (`bytes`, a `bytearray` or a byte `memoryview`,
+    read in place); raises ModelFormatError (with offset) on damage."""
     if data[:4] != _MAGIC:
         raise ModelFormatError("truncated model data" if len(data) < 4
                                else f"bad magic, expected {_MAGIC!r}", 0)
@@ -563,8 +566,7 @@ def load_model(data: bytes) -> EmbeddingModel:
     if offset != len(data):
         raise ModelFormatError("trailing bytes after model", offset)
     coords = np.concatenate(views).astype(np.float64, copy=False)
-    return EmbeddingModel._from_blocks(dim, variant, coords, influence, spaces, shared,
-                                       tuple(tokens))
+    return EmbeddingModel._from_blocks(dim, variant, coords, influence, spaces, shared, tokens)
 
 
 def save_model_file(model: EmbeddingModel, path) -> None:

@@ -45,7 +45,6 @@ deterministic.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass
@@ -74,8 +73,6 @@ __all__ = [
     "TrainHistory",
     "work_meter",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 def _check_learning_rate(learning_rate: float) -> None:
@@ -335,14 +332,15 @@ def train(
     early once no combination is active (further epochs would be no-ops).
     The history lists each epoch's stats and carries the table's entry count
     (`combinations`) and slot count (`slots`), so callers need not build or
-    pack the table again. Deterministic for a fixed config.
+    pack the table again. Deterministic for a fixed config. Raises
+    ValueError, before any model is made, when the table has no entries.
     """
     table = build_table(train_set, mu=config.mu, mode=config.sampling)
-    rng = np.random.default_rng(config.seed)
-    model = init_model(table, config, rng)
     if len(table) == 0:
-        logger.warning("no training combinations extracted; model left at its init")
-        return model, TrainHistory(0, 0)
+        raise ValueError("the training set yields no training combinations: every cascade"
+                         " has fewer than two infected users, or dominant sampling dropped"
+                         " every pair (each seen as often in both orders)")
+    model = init_model(table, config, np.random.default_rng(config.seed))
     packed = _pack_table(model, table)
     history = TrainHistory(len(table), len(packed.slot_x))
     del table  # the epochs read only `packed`, which keeps `avg_margin`

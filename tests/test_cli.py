@@ -29,6 +29,9 @@ def _cli_env():
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
 
 
+_RUN_CLI = "import sys, casembed.cli; sys.exit(casembed.cli.main(sys.argv[1:]))"
+
+
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -124,7 +127,8 @@ class TestSplit:
         out = tmp_path / "degenerate"
         assert run("split", "--input", corpus, "--test-frac", frac,
                    "--out-dir", out) == 2
-        assert "at least one cascade" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "both sides need at least one cascade" in err[0]
         assert not out.exists()
 
 
@@ -244,14 +248,20 @@ class TestTrain:
         ("c1\ta b\nc2\ta c\n", 2),  # every cascade has one infected user
         ("c1\ta b c\nc2\ta c b\n", 0),  # each pair seen once in each order
     ], ids=["short-cascades", "tied-pairs"])
-    def test_no_combinations_exit_2_without_outputs(self, tmp_path, capsys, text, full_exit):
+    def test_no_combinations_exit_2_without_outputs(self, tmp_path, text, full_exit):
         corpus = tmp_path / "t.cascades"
         corpus.write_text(text)
         model_path, log_path = tmp_path / "m.iaem", tmp_path / "train.log"
-        assert run("train", "--train", corpus, "--epochs", 5, "--model-out", model_path,
-                   "--log", log_path) == 2
-        err = capsys.readouterr().err
-        assert "fewer than two infected users" in err and "dominant sampling" in err
+        # in a subprocess, so that stderr holds all the command prints, log
+        # records included
+        argv = ["train", "--train", corpus, "--epochs", 5, "--model-out", model_path,
+                "--log", log_path]
+        proc = subprocess.run([sys.executable, "-c", _RUN_CLI, *map(str, argv)],
+                              capture_output=True, text=True, timeout=60, env=_cli_env())
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1, err
+        assert "fewer than two infected users" in err[0] and "dominant sampling" in err[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.cascades"]
         assert run("train", "--train", corpus, "--epochs", 5, "--sampling", "full",
                    "--model-out", model_path) == full_exit
@@ -446,7 +456,36 @@ class TestUncreatableOutputs:
         assert model.is_file() and log.is_file()
 
 
-_RUN_CLI = "import sys, casembed.cli; sys.exit(casembed.cli.main(sys.argv[1:]))"
+class TestOutputsLinkedIntoMissingDirectories:
+    """An output path, manifest included, that is a symlink into a directory
+    that does not exist yet: before anything is written, the missing parents
+    of every output's target are made, so the command succeeds through the
+    link instead of failing after its earlier outputs are written."""
+
+    @pytest.mark.parametrize("command", ["split", "train", "eval", "synth"])
+    def test_link_into_a_missing_directory(self, corpus, tmp_path, command):
+        model, out = tmp_path / "model.iaem", tmp_path / "out"
+        argv, linked, manifest = {
+            "split": (["split", "--input", corpus, "--out-dir", out],
+                      out / "test.cascades", out / "split.manifest.json"),
+            "train": (["train", "--train", corpus, "--dim", 2, "--epochs", 1,
+                       "--model-out", out / "m.iaem", "--log", out / "m.log"],
+                      out / "m.log", out / "m.iaem.manifest.json"),
+            "eval": (["eval", "--model", model, "--test", corpus, "--out", out / "r.jsonl"],
+                     out / "r.jsonl.manifest.json", out / "r.jsonl.manifest.json"),
+            "synth": (["synth", "--cascades-per-source", 2, "--out-dir", out],
+                      out / "world.iaem", out / "synth.manifest.json"),
+        }[command]
+        assert run("train", "--train", corpus, "--dim", 2, "--epochs", 1,
+                   "--model-out", model) == 0
+        out.mkdir()
+        target = tmp_path / "missing" / "deep" / linked.name
+        linked.symlink_to(target)
+        assert run(*argv) == 0
+        assert linked.is_symlink() and target.is_file()
+        record = json.loads(manifest.read_text())
+        assert linked == manifest or str(linked) in record["outputs"]
+        assert record["outputs"] == {p: _sha256(Path(p).read_bytes()) for p in record["outputs"]}
 
 
 class TestManifestDigests:

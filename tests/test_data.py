@@ -369,6 +369,14 @@ class TestSplit:
         with pytest.raises(CascadeError):
             split_dataset(self._dataset(1), 0.5, seed=0)
 
+    @pytest.mark.parametrize("n, frac, sides", [
+        (10, 0.04, "10 train + 0 test"), (10, 0.96, "0 train + 10 test"),
+        (0, 0.5, "0 train + 0 test"),
+    ])
+    def test_empty_side_raises(self, n, frac, sides):
+        with pytest.raises(CascadeError, match=re.escape(f"into {sides}; both sides")):
+            split_dataset(self._dataset(n), frac, seed=0)
+
     def test_bad_fraction(self):
         ds = self._dataset(4)
         for frac in (0.0, 1.0, -0.1, 1.5):
@@ -452,10 +460,16 @@ def _reference_split(dataset, test_fraction, seed):
 @given(rows=st.lists(_row, min_size=2, max_size=30),
        test_fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
 def test_split_matches_the_membership_reference(rows, test_fraction, seed):
+    """The reference's membership, or CascadeError where it leaves a side empty."""
     dataset = CascadeDataset.from_token_rows(rows)
+    expected = _reference_split(dataset, test_fraction, seed)
+    if not all(expected):
+        with pytest.raises(CascadeError, match="both sides need at least one cascade"):
+            split_dataset(dataset, test_fraction, seed)
+        return
     train, test = split_dataset(dataset, test_fraction, seed)
     got = ([(c.cascade_id, c.users) for c in train], [(c.cascade_id, c.users) for c in test])
-    assert got == _reference_split(dataset, test_fraction, seed)
+    assert got == expected
     assert train.tokens == test.tokens == dataset.tokens
 
 

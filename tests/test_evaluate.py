@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casembed.data import Cascade, CascadeDataset
+from casembed.data import Cascade, CascadeDataset, CascadeValidationError
 from casembed.evaluate import (
     EvalReport,
     RankedPrediction,
@@ -270,6 +271,16 @@ class TestReports:
             assert int(cells[3]) == obj["unseen"]
         assert float(tsv_lines[-1].split("\t")[1]) == report.map
 
+    # the ids serialize_cascades refuses (tests/test_data.py)
+    @pytest.mark.parametrize("cascade_id", ["", " \x0b", "a\tb", "a\nb", "a\rb", "#x"])
+    def test_tsv_rejects_ids_a_row_cannot_carry(self, cascade_id):
+        """Such an id would add a field, split a row, or read as the trailer."""
+        test = CascadeDataset.from_token_rows([("ok", ["a", "b"]), (cascade_id, ["a", "c"])])
+        report = evaluate(_model([0.0], {1: [1.0], 2: [2.0]}, tokens=("a", "b", "c")), test)
+        assert json.loads(report_json_lines(report).splitlines()[1])["id"] == cascade_id
+        with pytest.raises(CascadeValidationError, match=re.escape(repr(cascade_id))):
+            report_tsv(report)
+
 
 @st.composite
 def _tied_models(draw):
@@ -418,7 +429,7 @@ def test_evaluate_matches_the_per_cascade_loop_bit_for_bit(model, data):
             model.dimension, model.variant, model.coords, model._influence_block,
             model._space_blocks,
             None if model.variant == "single_space" else model._shared_block,
-            tuple(f"t{i}" for i in range(8)))
+            {f"t{i}": i for i in range(8)})
     users = st.lists(st.integers(0, 9), min_size=2, max_size=6, unique=True)
     rows = [(f"c{k}", [f"t{u}" for u in row])
             for k, row in enumerate(data.draw(st.lists(users, min_size=1, max_size=8)))]

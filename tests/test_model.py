@@ -264,6 +264,23 @@ class TestSaveLoad:
         assert peak < 1.25 * len(blob), peak / len(blob)
         assert isinstance(blob, bytearray)
 
+    def test_load_reads_its_argument_in_place(self, traced_peak):
+        """Loading what `save_model` returns makes no copy of the file: its
+        peak is the coordinates (about one file size) plus temporaries,
+        where a copy of the buffer would add another file size."""
+        model = generate_world(40, 50, 32, seed=1).ground_truth
+        blob = save_model(model)
+        again, peak = traced_peak(load_model, blob)
+        assert again == model
+        assert peak < 1.75 * len(blob), peak / len(blob)
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_round_trip_from_any_byte_buffer(self, wrap):
+        model = generate_world(3, 4, 2, seed=2).ground_truth
+        again = load_model(wrap(bytes(save_model(model))))
+        assert again == model
+        assert again.tokens == model.tokens
+
     def test_round_trip_empty(self):
         model = init_model(_table(), Cfg(3), np.random.default_rng(0))
         again = load_model(save_model(model))
@@ -493,6 +510,8 @@ def test_construction_validates_rows_and_finiteness():
         EmbeddingModel(2, "imaginary", np.zeros((0, 2)), {})
     with pytest.raises(ModelError, match="duplicate tokens"):
         EmbeddingModel(2, "single_space", np.zeros((0, 2)), {}, tokens=("a", "b", "a"))
+    with pytest.raises(ModelError, match="duplicate tokens"):
+        init_model(_table((0, 1, 2), tokens=("a", "b", "a")), Cfg(2), np.random.default_rng(0))
 
 
 class TestDimensionField:

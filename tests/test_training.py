@@ -1,4 +1,3 @@
-import logging
 import math
 import re
 import weakref
@@ -592,13 +591,19 @@ class TestTrain:
         assert len(built) == 1
         assert epochs == [0, 1, 2] == [stats.epoch for stats in history]
 
-    def test_empty_table_warns_and_runs_zero_epochs(self, caplog):
-        dataset = CascadeDataset.from_token_rows([("c0", ["a", "b"])])  # no pairs
-        with caplog.at_level(logging.WARNING, logger="casembed.training"):
-            model, history = train(dataset, TrainConfig(epochs=10, dimension=2))
-        assert history == []
-        assert model.num_points == 0
-        assert any("no training combinations" in r.message for r in caplog.records)
+    @pytest.mark.parametrize("rows", [
+        [("c0", ["a", "b"])],  # no pairs
+        [("c0", ["a", "b", "c"]), ("c1", ["a", "c", "b"])],  # each pair in both orders
+    ], ids=["short-cascades", "tied-pairs"])
+    def test_empty_table_raises_before_init(self, monkeypatch, rows):
+        def refuse(*args):
+            raise AssertionError("a model was made for an empty table")
+
+        monkeypatch.setattr(training, "init_model", refuse)
+        dataset = CascadeDataset.from_token_rows(rows)
+        with pytest.raises(ValueError, match="no training combinations: every cascade has"
+                           " fewer than two infected users, or dominant sampling dropped"):
+            train(dataset, TrainConfig(epochs=10, dimension=2))
 
     def test_small_planted_recovery(self):
         # 10-user planted instance in two dimensions: most of the initial
