@@ -1,7 +1,8 @@
 """Command-line workflows: synth, split, train, eval.
 
-Every command writes a JSON manifest (resolved config, input/output
-checksums, seed, timestamps) next to its artifacts. The artifacts themselves
+Every command that writes files writes a JSON manifest (resolved config,
+input/output checksums, seed, timestamps) next to its artifacts; `eval`
+without `--out` prints its report and writes none. The artifacts themselves
 are deterministic functions of the manifest's config, so re-running with the
 same config reproduces them byte for byte.
 

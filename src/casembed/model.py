@@ -9,13 +9,17 @@ storage depends on the variant:
     shared_susceptibility   one susceptibility map serves every source
     single_space            susceptibility and influence share one map
 
-In memory each point block (the influence block, each per-source space, the
-shared space) is a pair of arrays, user ids and their coordinate rows, in
-block order: the order the file lists the block's points. Loading, saving,
-initialization and ranking read these arrays. A block's only index is its
-`{id: row}` dict, built on the block's first lookup: scalar queries
-(`space_of`, `influence_point`, `distance_sq`, ...) and the bulk lookup
-that resolves a combination table's pairs for training both use it.
+In memory a model keeps its point blocks in one list, in file order: the
+influence block, then each per-source space or the shared space. A block is
+a pair of arrays, user ids and their coordinate rows, in block order: the
+order the file lists the block's points. Which block serves a source is
+settled when the model is assembled: its own space, in an independent model,
+or else the one block serving every source (the shared space, or
+single_space's influence block); no query reads the variant. Loading,
+saving, initialization and ranking read the block arrays. A block's only
+index is its `{id: row}` dict, built on the block's first lookup: scalar
+queries (`space_of`, `influence_point`, `distance_sq`, ...) and the bulk
+lookup that resolves a combination table's pairs for training both use it.
 Squared distances, scalar or bulk, come from one array expression, so
 `distance_sq` and a ranking agree bit for bit.
 
@@ -43,6 +47,7 @@ are damaged, the first in file order is reported.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from functools import cached_property
@@ -142,61 +147,52 @@ class EmbeddingModel:
             )
         if coords.size and not np.isfinite(coords).all():
             raise ModelError("coordinates must be finite")
-        space_blocks = shared = None
+        blocks, sources = [_Block.of(influence)], []
         if variant == "independent":
             if shared_space is not None:
                 raise ModelError("independent models take per-source spaces")
-            space_blocks = {s: _Block.of(m) for s, m in (spaces or {}).items()}
+            sources = list(spaces or {})
+            blocks += map(_Block.of, (spaces or {}).values())
         elif variant == "shared_susceptibility":
             if spaces is not None:
                 raise ModelError("shared_susceptibility models take one shared space")
-            shared = _Block.of(shared_space or {})
+            blocks.append(_Block.of(shared_space or {}))
         elif spaces is not None or shared_space is not None:
             raise ModelError("single_space models store all points as influence")
-        self._assign(dimension, variant, coords, _Block.of(influence), space_blocks, shared,
-                     _token_ids(tuple(tokens)))
-        rows = np.concatenate([block.rows for block in self._blocks()])
+        self._assign(dimension, variant, coords, blocks, sources, _token_ids(tuple(tokens)))
+        rows = np.concatenate([block.rows for block in blocks])
         if len(rows) and not (0 <= rows.min() and rows.max() < len(coords)):
             bad = rows[(rows < 0) | (rows >= len(coords))][0]
             raise ModelError(f"coordinate row {bad} out of bounds for {len(coords)} points")
 
-    def _assign(self, dimension, variant, coords, influence, spaces, shared, token_ids):
-        """Set the model's state from its blocks and its `{token: id}` table;
-        single_space models serve susceptibility from the influence block."""
+    def _assign(self, dimension, variant, coords, blocks, sources, token_ids):
+        """Set the model's state from its point blocks in file order, the ids
+        of the sources owning `blocks[1:]` if independent, and its `{token:
+        id}` table. Other models serve every source from their last block."""
         self.dimension = int(dimension)
         self.variant = variant
         self.coords = coords
-        self._influence_block: _Block = influence
-        self._space_blocks: dict[int, _Block] | None = spaces
-        self._shared_block: _Block | None = influence if variant == "single_space" else shared
+        self._blocks: list[_Block] = blocks
+        self._spaces: dict[int, _Block] = dict(zip(sources, blocks[1:]))
+        self._serving: _Block | None = None if variant == "independent" else blocks[-1]
         self.tokens = tuple(token_ids)
         self._token_ids = token_ids
 
     @classmethod
-    def _from_blocks(cls, dimension, variant, coords, influence, spaces, shared,
+    def _from_blocks(cls, dimension, variant, coords, blocks, sources,
                      token_ids) -> EmbeddingModel:
         """A model over blocks whose rows are known to be in bounds and
         coordinates finite; it adopts `token_ids`, a `{token: id}` dict in id order."""
         model = cls.__new__(cls)
-        model._assign(dimension, variant, coords, influence, spaces, shared, token_ids)
+        model._assign(dimension, variant, coords, blocks, sources, token_ids)
         return model
 
-    def _blocks(self) -> list[_Block]:
-        """Every point block, in file order."""
-        if self.variant == "independent":
-            return [self._influence_block, *self._space_blocks.values()]
-        if self.variant == "shared_susceptibility":
-            return [self._influence_block, self._shared_block]
-        return [self._influence_block]
-
     def _space_block(self, source: int) -> _Block | None:
-        if self.variant == "independent":
-            return self._space_blocks.get(source)
-        return self._shared_block
+        return self._spaces.get(source, self._serving)
 
     @property
     def _influence(self) -> dict[int, int]:
-        return self._influence_block.view
+        return self._blocks[0].view
 
     # -- queries ---------------------------------------------------------
 
@@ -292,23 +288,16 @@ class EmbeddingModel:
 
     def susceptibility_size(self) -> int:
         """Number of allocated (source, user) susceptibility slots."""
-        if self.variant == "independent":
-            return sum(len(block.ids) for block in self._space_blocks.values())
-        return len(self._shared_block.ids)
+        blocks = self._spaces.values() if self._serving is None else [self._serving]
+        return sum(len(block.ids) for block in blocks)
 
     # -- equality (used by round-trip tests) ------------------------------
 
     def _state(self):
-        def rows(block):
-            return {k: self.coords[r].tobytes() for k, r in block.view.items()}
-
-        if self.variant == "independent":
-            spaces = {s: rows(b) for s, b in self._space_blocks.items()}
-        elif self.variant == "shared_susceptibility":
-            spaces = rows(self._shared_block)
-        else:
-            spaces = None
-        return (self.dimension, self.variant, self.tokens, rows(self._influence_block), spaces)
+        """Per-point coordinate bytes of every block, in file order."""
+        blocks = [{k: self.coords[r].tobytes() for k, r in block.view.items()}
+                  for block in self._blocks]
+        return (self.dimension, self.variant, self.tokens, list(self._spaces), blocks)
 
     def __eq__(self, other):
         if not isinstance(other, EmbeddingModel):
@@ -383,16 +372,14 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
         blocks[int(grouped[bounds[k]])] = _Block(point_user[rows], rows)
     empty = _Block(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     influence = blocks.pop(0, empty)
-    spaces = shared = None
-    if variant == "independent":
-        spaces = {int(sources[s - 1]): block for s, block in blocks.items()}
-    elif variant == "shared_susceptibility":
-        shared = blocks.pop(1, empty)
+    if variant == "shared_susceptibility":
+        blocks.setdefault(1, empty)
+    owners = [int(sources[s - 1]) for s in blocks] if variant == "independent" else []
 
     half = 0.5 / dim
     coords = rng.uniform(-half, half, size=(len(point), dim))
-    return EmbeddingModel._from_blocks(dim, variant, coords, influence, spaces, shared,
-                                       _token_ids(table.tokens or ()))
+    return EmbeddingModel._from_blocks(dim, variant, coords, [influence, *blocks.values()],
+                                       owners, _token_ids(table.tokens or ()))
 
 
 # -- serialization ---------------------------------------------------------
@@ -403,16 +390,20 @@ def _point_dtype(dim: int) -> np.dtype:
     return np.dtype([("id", "<u4"), ("x", "<f8", (dim,))])
 
 
-def _check_savable(ids: np.ndarray):
+def _check_savable(ids: np.ndarray, id_limit: int):
+    """Reject ids a model file cannot hold: outside u32, or past a non-empty
+    token table of `id_limit` tokens."""
     if len(ids) and (ids.min() < 0 or ids.max() > 0xFFFFFFFF):
         raise ModelError("user ids must fit in an unsigned 32-bit integer to be saved")
+    if len(ids) and id_limit and ids.max() >= id_limit:
+        raise ModelError(f"id {ids.max()} is past the token table of {id_limit}")
 
 
 def _pack_points(out: bytearray, model: EmbeddingModel, block: _Block):
     out.extend(_U32.pack(len(block.ids)))
     if not len(block.ids):
         return
-    _check_savable(block.ids)
+    _check_savable(block.ids, len(model.tokens))
     records = np.empty(len(block.ids), dtype=_point_dtype(model.dimension))
     records["id"] = block.ids
     records["x"] = model.coords[block.rows]
@@ -422,7 +413,7 @@ def _pack_points(out: bytearray, model: EmbeddingModel, block: _Block):
 def save_model(model: EmbeddingModel) -> bytearray:
     """Serialize a model to its binary format (coordinates bit-exact). The
     file is built in, and returned as, one `bytearray`, so no second copy of
-    it is made."""
+    it is made. Raises ModelError on an id `load_model` would refuse."""
     out = bytearray()
     out.extend(_MAGIC)
     out.extend(struct.pack("<IIB", _VERSION, model.dimension, _VARIANT_TAGS[model.variant]))
@@ -431,15 +422,15 @@ def save_model(model: EmbeddingModel) -> bytearray:
         data = tok.encode("utf-8")
         out.extend(_U32.pack(len(data)))
         out.extend(data)
-    _pack_points(out, model, model._influence_block)
+    influence, *spaces = model._blocks
+    _pack_points(out, model, influence)
     if model.variant == "independent":
-        out.extend(_U32.pack(len(model._space_blocks)))
-        _check_savable(np.fromiter(model._space_blocks, np.int64, len(model._space_blocks)))
-        for source, block in model._space_blocks.items():
+        out.extend(_U32.pack(len(spaces)))
+        _check_savable(np.fromiter(model._spaces, np.int64, len(spaces)), len(model.tokens))
+    for block, source in itertools.zip_longest(spaces, model._spaces):
+        if source is not None:  # a per-source space is headed by its source id
             out.extend(_U32.pack(source))
-            _pack_points(out, model, block)
-    elif model.variant == "shared_susceptibility":
-        _pack_points(out, model, model._shared_block)
+        _pack_points(out, model, block)
     return out
 
 
@@ -544,29 +535,30 @@ def load_model(data: bytes) -> EmbeddingModel:
     influence, view, offset = _read_points(data, offset, dim, id_limit, 0)
     views = [view]  # each block's coordinates, in file order
     rows = len(view)  # the next block's first row
-    spaces: dict[int, _Block] | None = None
-    shared: _Block | None = None
+    blocks, sources = [influence], {}  # `sources` is an ordered set
     if variant == "independent":
-        spaces = {}
         count, offset = _u32(data, offset), offset + 4
         for _ in range(count):
             source = _u32(data, offset)
-            if source in spaces:
+            if source in sources:
                 raise ModelFormatError(f"id {source} repeats within its block", offset)
             if id_limit is not None and source >= id_limit:
                 raise ModelFormatError(
                     f"id {source} is past the token table of {id_limit}", offset
                 )
-            spaces[source], view, offset = _read_points(data, offset + 4, dim, id_limit, rows)
+            sources[source] = None
+            block, view, offset = _read_points(data, offset + 4, dim, id_limit, rows)
+            blocks.append(block)
             views.append(view)
             rows += len(view)
     elif variant == "shared_susceptibility":
-        shared, view, offset = _read_points(data, offset, dim, id_limit, rows)
+        block, view, offset = _read_points(data, offset, dim, id_limit, rows)
+        blocks.append(block)
         views.append(view)
     if offset != len(data):
         raise ModelFormatError("trailing bytes after model", offset)
     coords = np.concatenate(views).astype(np.float64, copy=False)
-    return EmbeddingModel._from_blocks(dim, variant, coords, influence, spaces, shared, tokens)
+    return EmbeddingModel._from_blocks(dim, variant, coords, blocks, sources, tokens)
 
 
 def save_model_file(model: EmbeddingModel, path) -> None:

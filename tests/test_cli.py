@@ -557,12 +557,14 @@ class TestManifestDigests:
                 assert record[key] == {str(p): _sha256(p.read_bytes()) for p in paths}, argv[0]
 
 
-def test_benchmark_tracer_runs_train(corpus, tmp_path):
+@pytest.mark.parametrize("variant", ["independent", "shared", "single"])
+def test_benchmark_tracer_runs_train(corpus, tmp_path, variant):
     """bench/traced.py looks the table build up through `cli` and `training`;
-    it must still trace one build per `train` and pass its checks."""
+    it must still trace one build per `train` and pass its checks, whose
+    first-loss check reads each variant's spaces through `space_of`."""
     traced = Path(__file__).resolve().parent.parent / "bench" / "traced.py"
     result = tmp_path / "traced.json"
-    argv = ["train", "--train", corpus, "--dim", 4, "--epochs", 2,
+    argv = ["train", "--train", corpus, "--dim", 4, "--epochs", 2, "--variant", variant,
             "--model-out", tmp_path / "m.iaem", "--log", tmp_path / "train.log"]
     proc = subprocess.run(
         [sys.executable, traced, result, *map(str, argv)],

@@ -426,9 +426,7 @@ def test_evaluate_matches_the_per_cascade_loop_bit_for_bit(model, data):
     order; without one, ids 8 and 9 are never embedded."""
     if data.draw(st.booleans(), label="tokens"):
         model = EmbeddingModel._from_blocks(
-            model.dimension, model.variant, model.coords, model._influence_block,
-            model._space_blocks,
-            None if model.variant == "single_space" else model._shared_block,
+            model.dimension, model.variant, model.coords, model._blocks, model._spaces,
             {f"t{i}": i for i in range(8)})
     users = st.lists(st.integers(0, 9), min_size=2, max_size=6, unique=True)
     rows = [(f"c{k}", [f"t{u}" for u in row])

@@ -339,12 +339,13 @@ class TestSaveLoad:
 
     def test_id_past_token_table_rejected_at_its_offset(self):
         model = EmbeddingModel(
-            2, "single_space", np.zeros((2, 2)), {0: 0, 5: 1}, tokens=("a", "b")
+            2, "single_space", np.zeros((2, 2)), {0: 0, 1: 1}, tokens=("a", "b")
         )
-        blob = save_model(model)
+        blob = bytearray(save_model(model))
         # header, token count and two 1-byte tokens, influence count, point 0
         bad = 13 + 4 + 2 * (4 + 1) + 4 + (4 + 16)
-        assert blob[bad : bad + 4] == (5).to_bytes(4, "little")
+        assert blob[bad : bad + 4] == (1).to_bytes(4, "little")
+        blob[bad : bad + 4] = (5).to_bytes(4, "little")
         with pytest.raises(ModelFormatError, match="token table") as err:
             load_model(blob)
         assert err.value.offset == bad
@@ -355,12 +356,13 @@ class TestSaveLoad:
         ((1, 0, 1, 9), 2, "repeats"),
     ])
     def test_first_bad_point_in_block_order_reported(self, ids, index, message):
+        tokens = tuple("abcd"[: len(ids)])
         model = EmbeddingModel(1, "single_space", np.zeros((len(ids), 1)),
-                               {k: k for k in range(len(ids))}, tokens=("a", "b"))
+                               {k: k for k in range(len(ids))}, tokens=tokens)
         blob = bytearray(save_model(model))
-        # header, token count and two 1-byte tokens, influence count, then
+        # header, token count and the 1-byte tokens, influence count, then
         # 12-byte points (u32 id + one float64)
-        first = 13 + 4 + 2 * (4 + 1) + 4
+        first = 13 + 4 + len(tokens) * (4 + 1) + 4
         for k, user in enumerate(ids):
             blob[first + 12 * k : first + 12 * k + 4] = user.to_bytes(4, "little")
         with pytest.raises(ModelFormatError, match=message) as err:
@@ -431,14 +433,16 @@ class TestSaveLoad:
 
 
 @st.composite
-def _models(draw):
-    """Any savable model: every variant, with or without a token table."""
+def _models(draw, past_tokens=0):
+    """Any savable model: every variant, with or without a token table.
+    With `past_tokens`, ids may also run that far past a token table's end."""
     variant = draw(st.sampled_from(VARIANTS))
     dimension = draw(st.integers(1, 3))
     # Tokens over a small alphabet often differ in one byte, so byte
     # overwrites can turn one into another.
     tokens = tuple(draw(st.lists(st.text("ab\u00e9", max_size=3), max_size=6, unique=True)))
-    ids = st.integers(0, len(tokens) - 1) if tokens else st.integers(0, 2**32 - 1)
+    ids = (st.integers(0, len(tokens) - 1 + past_tokens) if tokens
+           else st.integers(0, 2**32 - 1))
     blocks = st.lists(ids, max_size=4, unique=True)
     influence = draw(blocks)
     spaces = shared = None
@@ -499,6 +503,36 @@ class TestModelFileProperties:
                 continue
             assert len(set(loaded.tokens)) == len(loaded.tokens)
             assert save_model(loaded) == bytes(damaged)
+
+
+@settings(max_examples=200)
+@given(model=_models(past_tokens=2))
+def test_every_model_save_accepts_loads_back(model):
+    # `_models` draws independent sources among the influence users; any
+    # other model serves every source, -1 too, from one block
+    ids = set(model.influence_users())
+    for source in [*ids, -1]:
+        ids.update(model.space_of(source) or ())
+    if model.tokens and max(ids, default=-1) >= len(model.tokens):
+        with pytest.raises(ModelError, match="past the token table"):
+            save_model(model)
+    else:
+        assert load_model(save_model(model)) == model
+
+
+@pytest.mark.parametrize("model", [
+    lambda: EmbeddingModel(1, "single_space", np.zeros((2, 1)), {0: 0, 5: 1}, tokens=("a",)),
+    *(lambda variant=variant: init_model(
+        CombinationTable([Combination(0, 1, 2, 1, 1.0)], "full", tokens=("a",)),
+        Cfg(2, variant), np.random.default_rng(0)) for variant in VARIANTS),
+    lambda: EmbeddingModel(1, "independent", np.zeros((2, 1)), {0: 0}, spaces={3: {0: 1}},
+                           tokens=("a",)),
+], ids=["constructed", *(f"init-{v}" for v in VARIANTS), "source"])
+def test_ids_past_the_token_table_refused_at_save(model):
+    """A block id or an independent source id past a non-empty token table
+    makes a file `load_model` refuses, so `save_model` raises instead."""
+    with pytest.raises(ModelError, match="past the token table of 1"):
+        save_model(model())
 
 
 def test_construction_validates_rows_and_finiteness():

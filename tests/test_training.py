@@ -711,14 +711,10 @@ def test_setup_is_invariant_under_order_preserving_relabelling(rows, mode, data)
         cfg = TrainConfig(epochs=1, dimension=2, variant=variant)
         model, twin = (init_model(t, cfg, np.random.default_rng(3)) for t in (table, moved))
         _same(twin.coords, model.coords, "coords")
-        blocks = [(model._influence_block, twin._influence_block)]
-        if variant == "independent":
-            spaces = model._space_blocks
-            assert list(twin._space_blocks) == relabel(np.array(list(spaces))).tolist()
-            blocks += zip(spaces.values(), twin._space_blocks.values())
-        elif variant == "shared_susceptibility":
-            blocks.append((model._shared_block, twin._shared_block))
-        for block, moved_block in blocks:
+        sources = np.array(list(model._spaces), dtype=np.int64)
+        assert list(twin._spaces) == relabel(sources).tolist()
+        assert len(twin._blocks) == len(model._blocks)
+        for block, moved_block in zip(model._blocks, twin._blocks):
             _same(moved_block.ids, relabel(block.ids), "ids")
             _same(moved_block.rows, block.rows, "rows")
         packed, moved_packed = _pack_table(model, table), _pack_table(twin, moved)
