@@ -26,7 +26,6 @@ import numpy as np
 # build_table is not called here: bench/traced.py times it through this name.
 from casembed.combinations import MODES, build_table  # noqa: F401
 from casembed.data import (
-    CascadeError,
     _atomic_write,
     load_cascade_file,
     serialize_cascades,
@@ -83,7 +82,9 @@ def _commit(
     included, then write each output atomically, in the order given, and the
     manifest beside the first output. Output digests are of the bytes written,
     so no output is read back: a FIFO's or a device's digest is that of what
-    its reader got."""
+    its reader got. Input digests are taken by reading each input again here,
+    after the command has read it, so an input that changed in between is
+    recorded as it is now."""
     for path in [*outputs, manifest]:
         Path(os.path.realpath(path)).parent.mkdir(parents=True, exist_ok=True)
     for path, data in outputs.items():
@@ -386,7 +387,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (CliError, CascadeError, ModelError, ValueError, OSError) as exc:
+    except (CliError, ModelError, ValueError, OSError) as exc:  # a CascadeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

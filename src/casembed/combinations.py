@@ -43,7 +43,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from casembed.data import Cascade, CascadeDataset
+from casembed.data import Cascade, CascadeDataset, _freeze
 
 __all__ = [
     "MODES",
@@ -126,12 +126,6 @@ def _distinct_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     at = np.empty(len(order), dtype=np.intp)
     at[order] = np.cumsum(new) - 1
     return order[new], at
-
-
-def _freeze(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
-    for column in columns:
-        column.flags.writeable = False
-    return columns
 
 
 class CombinationTable:

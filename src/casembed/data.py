@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import operator
 import os
-import re
 import stat
 from array import array
 from dataclasses import dataclass
@@ -132,11 +131,8 @@ class CascadeDataset:
                      tokens, ids)
 
     def _assign(self, cascade_ids, flat, offsets, tokens, ids) -> None:
-        for column in (flat, offsets):
-            column.flags.writeable = False
         self._cascade_ids: tuple[str, ...] = cascade_ids
-        self._flat = flat
-        self._offsets = offsets
+        self._flat, self._offsets = _freeze(flat, offsets)
         self._tokens: tuple[str, ...] = tokens
         self._ids: dict[str, int] = ids
 
@@ -232,7 +228,19 @@ class CascadeDataset:
                                             self._tokens, self._ids)
 
 
-_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+def _freeze(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Make each column read-only, in place, and return them."""
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of `text` as a text-mode file reads them: LF, CRLF and CR
+    end a line, and no other character does (str.splitlines() also breaks
+    at U+001C, U+0085, U+2028 and others). A final line break leaves an
+    empty last line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -257,8 +265,8 @@ def _first_repeat(flat: np.ndarray, offsets: np.ndarray, num_tokens: int) -> int
     return int(key[repeat[0]] // num_tokens) if len(repeat) else None
 
 
-def parse_cascade_file(text: str | Iterable[str]) -> CascadeDataset:
-    """Parse cascade text (a string or an iterable of lines) into a dataset.
+def parse_cascade_file(text: str) -> CascadeDataset:
+    """Parse cascade text into a dataset.
 
     One pass over the lines fills the columns and interns tokens in
     first-appearance order; one sort of (cascade, user) keys then finds a
@@ -268,17 +276,12 @@ def parse_cascade_file(text: str | Iterable[str]) -> CascadeDataset:
     repeats an earlier one; both name the line number, and the first bad
     line in the text is the one reported.
     """
-    # A string splits exactly as a text-mode file does: at LF, CRLF and CR
-    # only, not at the other separators str.splitlines() also breaks on. A
-    # final line break leaves an empty last line, which is skipped as blank.
-    lines = _LINE_BREAK.split(text) if isinstance(text, str) else text
     ids: dict[str, int] = {}
     cascade_ids: list[str] = []
     linenos = array("q")
     lengths = array("q")
     users = array("q")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         cascade_id, tab, rest = line.partition("\t")
@@ -318,7 +321,7 @@ def _check_repeats(ids, cascade_ids, linenos, users, lengths):
 def _check_cascade_ids(cascade_ids: Iterable[str]) -> None:
     """Raise CascadeValidationError for the first id a line of text cannot carry."""
     for cid in cascade_ids:
-        if not cid.strip() or cid.startswith("#") or "\t" in cid or "\n" in cid or "\r" in cid:
+        if not cid.strip() or cid.startswith("#") or "\t" in cid or len(_lines(cid)) > 1:
             raise CascadeValidationError(
                 f"cascade id {cid!r} is blank, starts with '#' or holds a tab or line break"
             )
@@ -345,14 +348,19 @@ def serialize_cascades(dataset: CascadeDataset) -> str:
 
 
 def load_cascade_file(path) -> CascadeDataset:
+    """Parse the cascade file at `path`, read once and decoded as UTF-8.
+
+    A byte sequence that is not UTF-8 raises CascadeParseError naming its
+    line, unless a complete line before it holds the first error.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_cascade_file(handle)
-    except UnicodeDecodeError:  # its position counts from the decoder's chunk, not the file
-        with open(path, "rb") as handle:  # a byte that is not UTF-8 becomes a lone surrogate
-            text = handle.read().decode("utf-8", "surrogateescape")
-    lines = _LINE_BREAK.split(text[:re.search("[\udc80-\udcff]", text).start()])
-    parse_cascade_file(lines[:-1])  # an earlier line's error comes first
+        return parse_cascade_file(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:  # one decode of the whole file: `start` is a file offset
+        head = data[:exc.start].decode("utf-8")
+    lines = _lines(head)  # the last is the bad line, up to its bad byte
+    parse_cascade_file(head[:len(head) - len(lines[-1])])  # an earlier line's error comes first
     raise CascadeParseError(f"line {len(lines)}: not valid UTF-8")
 
 

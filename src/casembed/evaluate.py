@@ -41,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from casembed.combinations import _sorted_runs
-from casembed.data import Cascade, CascadeDataset, _check_cascade_ids
+from casembed.data import Cascade, CascadeDataset, _check_cascade_ids, _freeze
 from casembed.model import EmbeddingModel, ModelError
 
 __all__ = [
@@ -86,11 +86,11 @@ class EvalReport:
     def __init__(self, cascade_ids, ap, candidate_count, unseen_count, source_known,
                  chance_ap, map: float):
         self.cascade_ids: tuple[str, ...] = tuple(cascade_ids)
-        self.ap = _frozen(ap, np.float64)
-        self.candidate_count = _frozen(candidate_count, np.int64)
-        self.unseen_count = _frozen(unseen_count, np.int64)
-        self.source_known = _frozen(source_known, bool)
-        self.chance_ap = _frozen(chance_ap, np.float64)
+        columns = (np.array(ap, np.float64), np.array(candidate_count, np.int64),
+                   np.array(unseen_count, np.int64), np.array(source_known, bool),
+                   np.array(chance_ap, np.float64))
+        (self.ap, self.candidate_count, self.unseen_count, self.source_known,
+         self.chance_ap) = _freeze(*columns)
         self.map = map
 
     def _columns(self):
@@ -127,12 +127,6 @@ class EvalReport:
     def chance_map(self) -> float:
         """Mean over cascades of the expected AP of a random ranking."""
         return sum(self.chance_ap.tolist()) / len(self.chance_ap)
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    column = np.array(values, dtype=dtype)
-    column.flags.writeable = False
-    return column
 
 
 def rank_for_source(model: EmbeddingModel, source: int) -> RankedPrediction:

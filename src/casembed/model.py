@@ -51,6 +51,7 @@ import itertools
 import math
 import struct
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -113,9 +114,9 @@ class _Block:
                    np.fromiter(mapping.values(), np.int64, count))
 
     @cached_property
-    def view(self) -> dict[int, int]:
-        """The block as an `{id: row}` dict, built on first use."""
-        return dict(zip(self.ids.tolist(), self.rows.tolist()))
+    def view(self) -> Mapping[int, int]:
+        """The block as a read-only `{id: row}` mapping, built on first use."""
+        return MappingProxyType(dict(zip(self.ids.tolist(), self.rows.tolist())))
 
 
 class EmbeddingModel:
@@ -191,7 +192,7 @@ class EmbeddingModel:
         return self._spaces.get(source, self._serving)
 
     @property
-    def _influence(self) -> dict[int, int]:
+    def _influence(self) -> Mapping[int, int]:
         return self._blocks[0].view
 
     # -- queries ---------------------------------------------------------

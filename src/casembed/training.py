@@ -80,10 +80,11 @@ def _check_learning_rate(learning_rate: float) -> None:
         raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters; defaults follow the best-performing
-    settings (dimension 75, learning rate 0.01, margin log base 2)."""
+    """Training hyperparameters, checked when made and read-only after;
+    defaults follow the best-performing settings (dimension 75, learning
+    rate 0.01, margin log base 2)."""
 
     epochs: int
     dimension: int = 75

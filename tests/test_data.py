@@ -1,3 +1,4 @@
+import builtins
 import io
 import os
 import re
@@ -14,6 +15,7 @@ from casembed.data import (
     CascadeError,
     CascadeParseError,
     CascadeValidationError,
+    _check_cascade_ids,
     load_cascade_file,
     parse_cascade_file,
     save_cascade_file,
@@ -242,6 +244,29 @@ class TestUndecodableLine:
             load_cascade_file(path)
 
 
+@pytest.mark.parametrize("data, error", [
+    (b"c1\ta b\r\nc2\tb c\n", None),
+    (b"c1\ta b\r\nc2\tb \xff c\n", "line 2: not valid UTF-8"),
+], ids=["good", "undecodable"])
+def test_load_opens_its_file_once(tmp_path, monkeypatch, data, error):
+    path = tmp_path / "corpus.cascades"
+    path.write_bytes(data)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    if error is None:
+        assert load_cascade_file(path).cascade_ids == ("c1", "c2")
+    else:
+        with pytest.raises(CascadeParseError, match=f"^{error}$"):
+            load_cascade_file(path)
+    assert opened == [path]
+
+
 # Grammar of a cascade file: an id is any text without tab or line break that
 # does not start with '#' and is not blank; a user token is any text without
 # whitespace. Both may hold characters that other line splitters break at.
@@ -284,6 +309,36 @@ def test_string_and_file_parse_alike(text, tmp_path_factory):
 def test_parse_serialize_parse_round_trip(text):
     ds = parse_cascade_file(text)
     assert _contents(parse_cascade_file(serialize_cascades(ds))) == _contents(ds)
+
+
+_break = st.sampled_from(["\r", "\n", "\r\n"])
+_any_id = st.one_of(
+    _id,
+    st.builds(lambda a, end, b: a + end + b, _id | st.just(""), _break, _id | st.just("")),
+    st.text(st.sampled_from(_ODD + "\t\r\n# a"), max_size=4),
+)
+
+
+@settings(max_examples=300)
+@given(cascade_id=_any_id)
+def test_id_check_accepts_exactly_the_ids_that_round_trip(cascade_id):
+    """An id passes `_check_cascade_ids` exactly when a one-cascade dataset
+    holding it serializes to a line that parses back to that id."""
+    dataset = CascadeDataset.from_token_rows([(cascade_id, ["a", "b"])])
+    line = f"{cascade_id}\ta b\n"  # what serialize_cascades writes, had it no check
+    try:
+        round_trips = parse_cascade_file(line).cascade_ids == (cascade_id,)
+    except CascadeError:
+        round_trips = False
+    try:
+        _check_cascade_ids([cascade_id])
+    except CascadeValidationError:
+        assert not round_trips
+        with pytest.raises(CascadeValidationError):
+            serialize_cascades(dataset)
+    else:
+        assert round_trips
+        assert serialize_cascades(dataset) == line
 
 
 def test_dataset_users_is_union_of_members():

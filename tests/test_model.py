@@ -212,6 +212,18 @@ class TestVariants:
         )
         assert set(model.space_of(1)) == {3, 4, 5}
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_space_views_are_read_only(self, variant):
+        model = _random_model(np.random.default_rng(7), variant=variant)
+        source = next(iter(model.influence_users()))
+        space = model.space_of(source)
+        user = next(iter(space))
+        with pytest.raises(TypeError):
+            space[user] = 0
+        with pytest.raises(TypeError):
+            del space[user]
+        assert model == load_model(save_model(model))
+
     def test_single_space_shares_storage(self):
         table = _table((1, 3, 4), (2, 3, 5))
         model = init_model(table, Cfg(3, "single_space"), np.random.default_rng(4))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import weakref
@@ -36,6 +37,12 @@ def _model(points, source=0):
 
 
 class TestConfig:
+    def test_fields_cannot_change_after_validation(self):
+        cfg = TrainConfig(epochs=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.learning_rate = float("nan")
+        assert cfg.learning_rate == 0.01
+
     def test_defaults(self):
         cfg = TrainConfig(epochs=10)
         assert cfg.dimension == 75
