@@ -242,13 +242,7 @@ def cmd_eval(args) -> int:
             {args.out: text.encode("utf-8")},
             0,
             started,
-            {
-                "map": report.map,
-                "cascades": report.num_cascades,
-                "unknown_sources": report.num_unknown_sources,
-                "unseen": report.total_unseen,
-                "chance_map": report.chance_map,
-            },
+            {**report.summary, "chance_map": report.chance_map},
         )
     else:
         sys.stdout.write(text)

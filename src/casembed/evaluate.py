@@ -26,7 +26,8 @@ candidates it is (r/R)·((r−1)/(N−1)·(N−H_N) + H_N)/N, with H_N the N-th
 harmonic number (Bestgen, PBML 103, 2015); it is r/R for N = 1 and 0 when
 nothing is ranked. `_chance_ap` is the scalar reference; `evaluate` makes
 the same operations on columns. `EvalReport.chance_map` is its mean over
-cascades.
+cascades. `EvalReport.summary` holds the MAP and counts that the JSON report's
+last line, the TSV report's `#map` trailer and the eval manifest all write.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class EvalReport:
 
     Columns: `cascade_ids`, `ap`, `candidate_count`, `unseen_count`,
     `source_known` and `chance_ap`, the arrays read-only; `per_cascade`
-    hands out `CascadeScore` views.
+    hands out `CascadeScore` views, and `summary` the MAP and counts.
     """
 
     def __init__(self, cascade_ids, ap, candidate_count, unseen_count, source_known,
@@ -104,8 +105,6 @@ class EvalReport:
                 and all(np.array_equal(a, b)
                         for a, b in zip(self._columns(), other._columns())))
 
-    __hash__ = None
-
     @property
     def per_cascade(self) -> tuple[CascadeScore, ...]:
         return tuple(map(CascadeScore, self.cascade_ids,
@@ -122,6 +121,13 @@ class EvalReport:
     @property
     def total_unseen(self) -> int:
         return int(self.unseen_count.sum())
+
+    @property
+    def summary(self) -> dict:
+        """MAP and the counts, in the order the reports and the eval manifest
+        write them: `map`, `cascades`, `unknown_sources`, `unseen`."""
+        return {"map": self.map, "cascades": self.num_cascades,
+                "unknown_sources": self.num_unknown_sources, "unseen": self.total_unseen}
 
     @property
     def chance_map(self) -> float:
@@ -277,8 +283,14 @@ def _chance_aps(found, truth_total, candidates, harmonic) -> np.ndarray:
     return chance
 
 
+def _rows(report: EvalReport):
+    """Each cascade's id, AP, candidate count and unseen count, in test-set order."""
+    return zip(report.cascade_ids, report.ap.tolist(), report.candidate_count.tolist(),
+               report.unseen_count.tolist())
+
+
 def report_json_lines(report: EvalReport) -> str:
-    """One JSON object per cascade, then a summary object with map and counts.
+    """One JSON object per cascade, then `report.summary` as one object.
 
     Rows are formatted as `json.dumps` would write them: the id through
     its ASCII string encoder, floats by `repr`, ints in decimal.
@@ -287,36 +299,19 @@ def report_json_lines(report: EvalReport) -> str:
     lines = [
         f'{{"id": {encode(cascade_id)}, "ap": {ap!r}, "candidates": {candidates},'
         f' "unseen": {unseen}}}'
-        for cascade_id, ap, candidates, unseen in zip(
-            report.cascade_ids, report.ap.tolist(), report.candidate_count.tolist(),
-            report.unseen_count.tolist())
+        for cascade_id, ap, candidates, unseen in _rows(report)
     ]
-    lines.append(
-        json.dumps(
-            {
-                "map": report.map,
-                "cascades": report.num_cascades,
-                "unknown_sources": report.num_unknown_sources,
-                "unseen": report.total_unseen,
-            }
-        )
-    )
+    lines.append(json.dumps(report.summary))
     return "\n".join(lines) + "\n"
 
 
 def report_tsv(report: EvalReport) -> str:
-    """TSV rows mirroring the JSON report; summary on a '#' trailer line. A
-    cascade id a row cannot carry raises CascadeValidationError, naming it."""
+    """TSV rows mirroring the JSON report, `report.summary` on a '#map' trailer line.
+    A cascade id a row cannot carry raises CascadeValidationError, naming it."""
     _check_cascade_ids(report.cascade_ids)
     rows = ["cascade_id\tap\tcandidates\tunseen"]
-    rows.extend(
-        f"{cascade_id}\t{ap!r}\t{candidates}\t{unseen}"
-        for cascade_id, ap, candidates, unseen in zip(
-            report.cascade_ids, report.ap.tolist(), report.candidate_count.tolist(),
-            report.unseen_count.tolist())
-    )
-    rows.append(
-        f"#map\t{report.map!r}\tcascades={report.num_cascades}"
-        f"\tunknown_sources={report.num_unknown_sources}\tunseen={report.total_unseen}"
-    )
+    rows.extend(f"{cascade_id}\t{ap!r}\t{candidates}\t{unseen}"
+                for cascade_id, ap, candidates, unseen in _rows(report))
+    (_, mean), *counts = report.summary.items()
+    rows.append("\t".join([f"#map\t{mean!r}", *(f"{name}={value}" for name, value in counts)]))
     return "\n".join(rows) + "\n"

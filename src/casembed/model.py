@@ -2,7 +2,8 @@
 and the binary model file format.
 
 All points live in one (P, D) float64 array; influence coordinates and
-per-source susceptibility coordinates are row indices into it. Susceptibility
+per-source susceptibility coordinates are row indices into it, each row one
+point's, as the file gives every point its own coordinates. Susceptibility
 storage depends on the variant:
 
     independent             every source owns a private susceptibility map
@@ -123,8 +124,9 @@ class EmbeddingModel:
     """Influence and susceptibility coordinates for a set of users.
 
     `influence` maps user id -> row of `coords`; the susceptibility mapping
-    is variant-dependent (see module docstring). Construction validates row
-    bounds and finiteness; coordinates are mutated in place by training.
+    is variant-dependent (see module docstring). Construction checks that
+    each row of `coords` is exactly one point's and that coordinates are
+    finite; coordinates are mutated in place by training.
     """
 
     def __init__(
@@ -165,6 +167,10 @@ class EmbeddingModel:
         if len(rows) and not (0 <= rows.min() and rows.max() < len(coords)):
             bad = rows[(rows < 0) | (rows >= len(coords))][0]
             raise ModelError(f"coordinate row {bad} out of bounds for {len(coords)} points")
+        owners = np.bincount(rows, minlength=len(coords))
+        if (owners != 1).any():
+            bad = int((owners != 1).argmax())
+            raise ModelError(f"coordinate row {bad} belongs to {owners[bad]} points, not one")
 
     def _assign(self, dimension, variant, coords, blocks, sources, token_ids):
         """Set the model's state from its point blocks in file order, the ids
@@ -182,8 +188,8 @@ class EmbeddingModel:
     @classmethod
     def _from_blocks(cls, dimension, variant, coords, blocks, sources,
                      token_ids) -> EmbeddingModel:
-        """A model over blocks whose rows are known to be in bounds and
-        coordinates finite; it adopts `token_ids`, a `{token: id}` dict in id order."""
+        """A model over blocks known to give each row to exactly one point,
+        with finite coordinates; it adopts `token_ids`, a `{token: id}` dict in id order."""
         model = cls.__new__(cls)
         model._assign(dimension, variant, coords, blocks, sources, token_ids)
         return model

@@ -62,9 +62,9 @@ class TestRankForSource:
             rank_for_source(model, 42)
 
     def test_source_excluded_from_candidates(self):
-        coords = np.array([[0.0, 0.0], [1.0, 0.0]])
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         model = EmbeddingModel(
-            2, "independent", coords, {0: 0}, spaces={0: {0: 0, 1: 1}}
+            2, "independent", coords, {0: 0}, spaces={0: {0: 2, 1: 1}}
         )
         pred = rank_for_source(model, 0)
         assert [u for u, _ in pred.ranking] == [1]

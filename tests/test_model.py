@@ -560,6 +560,36 @@ def test_construction_validates_rows_and_finiteness():
         init_model(_table((0, 1, 2), tokens=("a", "b", "a")), Cfg(2), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("make, error, match", [
+    # A row two points share, or no point holds, makes a model that compares
+    # equal to its reload, where every point has its own row, yet trains
+    # differently.
+    (lambda: EmbeddingModel(2, "independent", np.array([[0.1, 0.0], [0.3, 0.2], [0.0, 0.4]]),
+                            {0: 0}, spaces={0: {1: 0, 2: 1, 3: 2}}),
+     ModelError, "row 0 belongs to 2 points"),
+    (lambda: EmbeddingModel(2, "independent", np.zeros((5, 2)), {0: 0}, spaces={}),
+     ModelError, "row 1 belongs to 0 points"),
+    (lambda: EmbeddingModel(0, "independent", np.zeros((0, 0)), {}), ModelError,
+     "dimension must be at least 1"),
+    (lambda: EmbeddingModel(2, "independent", np.zeros((1, 3)), {0: 0}), ModelError,
+     r"shape \(P, 2\)"),
+    (lambda: EmbeddingModel(2, "independent", np.zeros((0, 2)), {}, shared_space={}),
+     ModelError, "per-source spaces"),
+    (lambda: EmbeddingModel(2, "shared_susceptibility", np.zeros((0, 2)), {}, spaces={}),
+     ModelError, "one shared space"),
+    (lambda: EmbeddingModel(2, "single_space", np.zeros((0, 2)), {}, shared_space={}),
+     ModelError, "all points as influence"),
+    (lambda: init_model(_table((1, 2, 3)), Cfg(2, "imaginary"), np.random.default_rng(0)),
+     ModelError, "variant must be one of"),
+    (lambda: emit_cascades(generate_world(1, 3, 2, seed=0), 1, 0, seed=0), ValueError,
+     "cascade_len must be at least 1"),
+], ids=["row-shared", "row-unowned", "dimension", "coords-shape", "independent-shared-space",
+        "shared-spaces", "single-space-spaces", "init-variant", "emit-cascade-len"])
+def test_invalid_arguments_refused(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
+
+
 class TestDimensionField:
     def _blob(self, dim, points=1):
         model = EmbeddingModel(2, "single_space", np.zeros((points, 2)),
