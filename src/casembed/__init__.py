@@ -49,7 +49,7 @@ from casembed.model import (
     save_model,
     save_model_file,
 )
-from casembed.synthetic import PlantedWorld, emit_cascades, generate_world
+from casembed.synthetic import emit_cascades, generate_world
 from casembed.training import (
     EpochStats,
     TrainConfig,
@@ -78,7 +78,6 @@ __all__ = [
     "EvalReport",
     "ModelError",
     "ModelFormatError",
-    "PlantedWorld",
     "RankedPrediction",
     "TrainConfig",
     "TrainHistory",

@@ -256,11 +256,9 @@ def cmd_synth(args) -> int:
     world_path = args.out_dir / "world.iaem"
     manifest = args.out_dir / "synth.manifest.json"
     _check_outputs([cascade_path, world_path, manifest], [])
-    world = generate_world(
-        args.sources, args.users_per_source, args.dim, args.seed, noise=args.noise
-    )
+    world = generate_world(args.sources, args.users_per_source, args.dim, args.seed)
     emissions = emit_cascades(
-        world, args.cascades_per_source, args.length, seed=args.seed + 1
+        world, args.cascades_per_source, args.length, seed=args.seed + 1, noise=args.noise
     )
     _commit(
         manifest,
@@ -276,7 +274,7 @@ def cmd_synth(args) -> int:
         [],
         {
             cascade_path: serialize_cascades(emissions).encode("utf-8"),
-            world_path: save_model(world.ground_truth),
+            world_path: save_model(world),
         },
         args.seed,
         started,

@@ -216,8 +216,10 @@ def evaluate(
     distinct, part = np.unique(users[offsets[:-1]], return_inverse=True)
     # Part p holds the ranked model ids of source distinct[p], in rank order:
     # each known source is ranked once, and an unknown source's part is empty.
+    # A -1 source is a token the model lacks, even if the model holds id -1.
     known_users = model.influence_users()
     known = np.fromiter(map(known_users.__contains__, distinct.tolist()), bool, len(distinct))
+    known &= distinct >= 0
     parts = []
     for source, source_known in zip(distinct.tolist(), known.tolist()):
         ranking = rank_for_source(model, source).ranking if source_known else ()

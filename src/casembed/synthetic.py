@@ -1,39 +1,24 @@
 """Planted latent worlds: synthetic corpora whose ideal orderings are known.
 
-A world fixes ground-truth geometry (an independent-variant model) and emits
-cascades whose members are drawn uniformly from a source's pool and ordered
-by their true distance, optionally perturbed by one adjacent-swap noise pass.
-Training on noiseless emissions should therefore recover a geometry that
-satisfies every extracted ordering constraint.
+A planted world is its ground truth: an independent-variant model in which
+each source owns a disjoint pool of users. `emit_cascades` reads the sources
+and their pools from such a model, and refuses a model of another variant.
+It emits cascades whose members are drawn uniformly from a source's pool and
+ordered by their true distance, then perturbed by one adjacent-swap pass at
+the `noise` it is given. Training on noiseless emissions should therefore
+recover a geometry that satisfies every extracted ordering constraint.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from casembed.data import CascadeDataset
 from casembed.model import EmbeddingModel
 
-__all__ = ["PlantedWorld", "generate_world", "emit_cascades"]
+__all__ = ["generate_world", "emit_cascades"]
 
 _TIE_GAP = 1e-9
-
-
-@dataclass(frozen=True)
-class PlantedWorld:
-    """Ground-truth geometry used to emit cascades.
-
-    `noise` is the probability, per adjacent pair, of one swap during
-    emission; at zero every emitted cascade follows the ground-truth
-    distance order exactly.
-    """
-
-    ground_truth: EmbeddingModel
-    sources: tuple[int, ...]
-    users_per_source: int
-    noise: float
 
 
 def generate_world(
@@ -41,8 +26,7 @@ def generate_world(
     users_per_source: int,
     dimension: int,
     seed: int,
-    noise: float = 0.0,
-) -> PlantedWorld:
+) -> EmbeddingModel:
     """Sample an independent-variant ground truth with distinct distances.
 
     Sources get ids 0..num_sources-1 (tokens "s<i>"); each source owns a
@@ -55,8 +39,6 @@ def generate_world(
         raise ValueError("num_sources and users_per_source must be at least 1")
     if dimension < 1:
         raise ValueError(f"dimension must be at least 1, got {dimension}")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise must be in [0, 1], got {noise}")
     rng = np.random.default_rng(seed)
     tokens = [f"s{i}" for i in range(num_sources)]
     tokens += [f"u{k}" for k in range(num_sources * users_per_source)]
@@ -80,7 +62,7 @@ def generate_world(
             space[user] = len(coords)
             coords.append(y)
         spaces[i] = space
-    model = EmbeddingModel(
+    return EmbeddingModel(
         dimension,
         "independent",
         np.array(coords),
@@ -88,46 +70,58 @@ def generate_world(
         spaces=spaces,
         tokens=tuple(tokens),
     )
-    return PlantedWorld(model, tuple(range(num_sources)), users_per_source, noise)
 
 
 def emit_cascades(
-    world: PlantedWorld, per_source: int, cascade_len: int, seed: int
+    world: EmbeddingModel,
+    per_source: int,
+    cascade_len: int,
+    seed: int,
+    noise: float = 0.0,
 ) -> CascadeDataset:
-    """Emit per_source cascades per source.
+    """Emit per_source cascades per source of an independent-variant model.
 
+    The sources are the model's influence users that own a susceptibility
+    space, in id order, and a source's pool is that space's ids, sorted.
     Each cascade draws cascade_len users uniformly without replacement from
     the source's pool, orders them by ascending ground-truth distance, then
     runs one left-to-right pass swapping each adjacent pair independently
-    with probability world.noise. The swap randoms are drawn regardless of
-    the noise level, so cascade membership is seed-stable across noise
+    with probability noise. The swap randoms are drawn regardless of the
+    noise level, so cascade membership is seed-stable across noise
     settings. Deterministic per seed.
     """
     if per_source < 1:
         raise ValueError(f"per_source must be at least 1, got {per_source}")
     if cascade_len < 1:
         raise ValueError(f"cascade_len must be at least 1, got {cascade_len}")
-    if cascade_len > world.users_per_source:
-        raise ValueError(
-            f"cascade_len {cascade_len} exceeds the per-source pool"
-            f" of {world.users_per_source}"
-        )
-    model = world.ground_truth
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise must be in [0, 1], got {noise}")
+    if world.variant != "independent":
+        raise ValueError(f"cascades are emitted from an independent model, not {world.variant}")
+    pools = {
+        source: sorted(space)
+        for source in sorted(world.influence_users())
+        if (space := world.space_of(source)) is not None
+    }
+    for pool in pools.values():
+        if cascade_len > len(pool):
+            raise ValueError(
+                f"cascade_len {cascade_len} exceeds the per-source pool of {len(pool)}"
+            )
     rng = np.random.default_rng(seed)
     rows: list[tuple[str, list[str]]] = []
-    for source in world.sources:
-        pool = sorted(model.space_of(source))
-        dist = {u: model.distance_sq(source, u) for u in pool}
+    for source, pool in pools.items():
+        dist = {u: world.distance_sq(source, u) for u in pool}
         for k in range(per_source):
             members = [int(u) for u in rng.choice(pool, size=cascade_len, replace=False)]
             members.sort(key=dist.__getitem__)
             for p in range(len(members) - 1):
-                if rng.random() < world.noise:
+                if rng.random() < noise:
                     members[p], members[p + 1] = members[p + 1], members[p]
             rows.append(
                 (
-                    f"{model.token(source)}-c{k}",
-                    [model.token(source)] + [model.token(u) for u in members],
+                    f"{world.token(source)}-c{k}",
+                    [world.token(source)] + [world.token(u) for u in members],
                 )
             )
     return CascadeDataset.from_token_rows(rows)

@@ -295,32 +295,34 @@ def test_criterion_7_sampling_economy(planted):
 
 # -- kernel membership, criterion 9 ------------------------------------------
 
+_KERNEL_TIME = 0.1
 
-def _kernel_cascades(world, per_source, length, noise, seed, time=0.1):
+
+def _kernel_cascades(world, per_source, length, seed, noise=0.0):
     """Cascades whose members follow the ground truth's diffusion kernel.
 
     Each cascade draws `length` users of its source's pool without
-    replacement, weighted by `diffusion_kernel(source, user, time)`: Gumbel
+    replacement, weighted by `diffusion_kernel(source, user, _KERNEL_TIME)`: Gumbel
     top-k over the log kernel. It sorts them by true distance, then swaps
     each adjacent pair with probability `noise`. `emit_cascades` draws
     members uniformly, so AP, which scores membership, reads chance on its
     corpora even for the ground-truth model.
     """
-    model = world.ground_truth
     rng = np.random.default_rng(seed)
     rows = []
-    for source in world.sources:
-        pool = np.array(sorted(model.space_of(source)))
-        log_kernel = np.log([model.diffusion_kernel(source, u, time) for u in pool.tolist()])
-        dist = np.array([model.distance_sq(source, u) for u in pool.tolist()])
+    for source in sorted(world.influence_users()):
+        pool = np.array(sorted(world.space_of(source)))
+        log_kernel = np.log([world.diffusion_kernel(source, u, _KERNEL_TIME)
+                             for u in pool.tolist()])
+        dist = np.array([world.distance_sq(source, u) for u in pool.tolist()])
         for k in range(per_source):
             drawn = np.argsort(-(log_kernel + rng.gumbel(size=len(pool))))[:length]
             members = pool[drawn[np.argsort(dist[drawn])]].tolist()
             for p in range(length - 1):
                 if rng.random() < noise:
                     members[p], members[p + 1] = members[p + 1], members[p]
-            token = model.token(source)
-            rows.append((f"{token}-c{k}", [token] + [model.token(u) for u in members]))
+            token = world.token(source)
+            rows.append((f"{token}-c{k}", [token] + [world.token(u) for u in members]))
     return CascadeDataset.from_token_rows(rows)
 
 
@@ -344,7 +346,7 @@ def test_criterion_9_kernel_membership_is_learned(seed):
     trained, chance = report.map, report.chance_map
     full = fit("full").map
     untrained = fit("dominant", epochs=0).map
-    truth = evaluate(world.ground_truth, test_set).map
+    truth = evaluate(world, test_set).map
     tables = [len(build_table(train_set, mode=mode)) for mode in ("dominant", "full")]
     ok = (trained >= max(chance, untrained) + 0.25
           and trained >= truth - 0.03

@@ -275,14 +275,15 @@ class TestTrain:
         assert target.is_dir() and not any(target.iterdir())
 
     @pytest.mark.parametrize("option", ["--lr", "--mu"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
     def test_non_finite_rate_exit_2_without_outputs(
         self, corpus, tmp_path, capsys, option, value
     ):
         model_path, log_path = tmp_path / "m.iaem", tmp_path / "m.log"
         assert run("train", "--train", corpus, "--dim", 2, "--epochs", 0, option, value,
                    "--model-out", model_path, "--log", log_path) == 2
-        assert f"argument {option}: must be a finite number" in capsys.readouterr().err
+        reason = "invalid float value" if value == "abc" else "must be a finite number"
+        assert f"argument {option}: {reason}" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [tmp_path / "synth"]
 
     def test_missing_train_file_exit_2(self, tmp_path):

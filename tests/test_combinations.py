@@ -342,7 +342,7 @@ def _distinct_triples_dataset():
 @pytest.mark.parametrize("corpus", ["planted", "distinct"])
 def test_build_working_set_is_bounded_per_triple(traced_peak, mode, corpus):
     if corpus == "planted":
-        dataset = emit_cascades(generate_world(4, 100, 4, seed=5, noise=0.3), 30, 20, seed=6)
+        dataset = emit_cascades(generate_world(4, 100, 4, seed=5), 30, 20, seed=6, noise=0.3)
     else:
         dataset = _distinct_triples_dataset()
     triples = sum(c.num_infected * (c.num_infected - 1) // 2 for c in dataset)

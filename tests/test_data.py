@@ -161,6 +161,30 @@ def test_failed_rename_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["old.cascades"]
 
 
+def test_save_draws_another_temp_name_after_a_collision(tmp_path, monkeypatch):
+    path = tmp_path / "old.cascades"
+    taken = tmp_path / "old.cascades.00000000.tmp"
+    taken.write_bytes(b"someone else's")
+    draws = iter([b"\0\0\0\0", b"\0\0\0\1"])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    save_cascade_file(parse_cascade_file(SAMPLE), path)
+    assert path.read_bytes() == SAMPLE.encode()
+    assert taken.read_bytes() == b"someone else's"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.cascades", taken.name]
+
+
+def test_save_refuses_when_every_temp_name_is_taken(tmp_path, monkeypatch):
+    path = tmp_path / "old.cascades"
+    path.write_bytes(SAMPLE.encode())
+    taken = tmp_path / "old.cascades.00000000.tmp"
+    taken.write_bytes(b"")
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    with pytest.raises(FileExistsError, match="no free temp file name"):
+        save_cascade_file(parse_cascade_file("c2\ta b\n"), path)
+    assert path.read_bytes() == SAMPLE.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.cascades", taken.name]
+
+
 def test_save_through_a_symlink_replaces_its_target(tmp_path):
     (tmp_path / "data").mkdir()
     target = tmp_path / "data" / "real.cascades"

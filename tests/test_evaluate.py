@@ -181,6 +181,20 @@ class TestEvaluate:
         assert report.num_unknown_sources == 2
         assert all(not s.source_known for s in report.per_cascade)
 
+    def test_unknown_source_is_not_the_model_id_minus_one(self):
+        # An unknown token maps to -1; a model holding id -1 must not rank for it.
+        model = EmbeddingModel(1, "single_space", np.array([[0.0], [1.0], [2.0]]),
+                               {-1: 0, 0: 1, 1: 2}, tokens=("a", "b"))
+        report = evaluate(model, CascadeDataset.from_token_rows([("c", ["zz", "a", "b"])]))
+        assert report.num_unknown_sources == 1
+        assert report.map == 0.0
+        assert not report.per_cascade[0].source_known
+
+    def test_report_never_equal_to_another_type(self):
+        model = _model([0.0], {1: [1.0]}, tokens=("s", "a"))
+        report = evaluate(model, CascadeDataset.from_token_rows([("c", ["s", "a"])]))
+        assert report != report.map and not report == report.summary
+
     def test_empty_test_set_rejected(self):
         model = _model([0.0], {1: [1.0]})
         with pytest.raises(ValueError, match="empty"):

@@ -128,8 +128,8 @@ _INIT_DIGESTS = {
 
 def _pinned_corpus(name):
     if name == "synthetic":
-        world = generate_world(3, 8, 2, seed=5, noise=0.3)
-        return emit_cascades(world, 6, 5, seed=6)
+        world = generate_world(3, 8, 2, seed=5)
+        return emit_cascades(world, 6, 5, seed=6, noise=0.3)
     # sources also appear as infected users, and users recur across sources
     rng = np.random.default_rng(8)
     rows = [
@@ -164,6 +164,18 @@ class TestDistance:
         assert model.distance_sq(99, 3) is None
         assert model.susceptibility_point(1, 99) is None
         assert model.influence_point(99) is None
+
+    def test_absent_for_a_source_without_a_space(self):
+        coords = np.array([[0.0], [1.0], [2.0]])
+        model = EmbeddingModel(1, "independent", coords, {0: 0, 2: 1}, spaces={0: {1: 2}})
+        assert model.influence_point(2) is not None and model.space_of(2) is None
+        assert model.susceptibility_point(2, 1) is None
+        assert model.distance_sq(2, 1) is None
+        assert model.diffusion_kernel(2, 1) is None
+
+    def test_never_equal_to_another_type(self):
+        model = EmbeddingModel(1, "independent", np.zeros((1, 1)), {0: 0})
+        assert model != "IAEM" and not model == 0
 
 
 class TestKernel:
@@ -271,7 +283,7 @@ class TestSaveLoad:
         """The file is built in the buffer `save_model` returns: with many
         small blocks its peak stays near one file size, where a copy of the
         finished buffer would double it."""
-        model = generate_world(40, 50, 32, seed=1).ground_truth
+        model = generate_world(40, 50, 32, seed=1)
         blob, peak = traced_peak(save_model, model)
         assert peak < 1.25 * len(blob), peak / len(blob)
         assert isinstance(blob, bytearray)
@@ -280,7 +292,7 @@ class TestSaveLoad:
         """Loading what `save_model` returns makes no copy of the file: its
         peak is the coordinates (about one file size) plus temporaries,
         where a copy of the buffer would add another file size."""
-        model = generate_world(40, 50, 32, seed=1).ground_truth
+        model = generate_world(40, 50, 32, seed=1)
         blob = save_model(model)
         again, peak = traced_peak(load_model, blob)
         assert again == model
@@ -288,7 +300,7 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("wrap", [bytearray, memoryview])
     def test_round_trip_from_any_byte_buffer(self, wrap):
-        model = generate_world(3, 4, 2, seed=2).ground_truth
+        model = generate_world(3, 4, 2, seed=2)
         again = load_model(wrap(bytes(save_model(model))))
         assert again == model
         assert again.tokens == model.tokens

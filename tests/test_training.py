@@ -290,8 +290,8 @@ class TestRunEpoch:
         # grows with S·D beside the slot differences. At D = 64 it also holds
         # no more than S·D + 3·N + 4·S + 2·P words: the slot differences are
         # its one array of S·D entries, and nothing of P·D is built.
-        world = generate_world(6, 40, 4, seed=5, noise=0.3)
-        table = build_table(emit_cascades(world, 40, 16, seed=6), mode="full")
+        world = generate_world(6, 40, 4, seed=5)
+        table = build_table(emit_cascades(world, 40, 16, seed=6, noise=0.3), mode="full")
         cfg = TrainConfig(epochs=1, dimension=dimension, variant=variant)
         model = init_model(table, cfg, np.random.default_rng(0))
         packed = _pack_table(model, table)
@@ -308,8 +308,8 @@ class TestRunEpoch:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_packed_table_does_not_grow_with_dimension(self, variant):
-        world = generate_world(6, 40, 4, seed=5, noise=0.3)
-        table = build_table(emit_cascades(world, 40, 16, seed=6), mode="full")
+        world = generate_world(6, 40, 4, seed=5)
+        table = build_table(emit_cascades(world, 40, 16, seed=6, noise=0.3), mode="full")
 
         def packed_bytes(dimension):
             cfg = TrainConfig(epochs=1, dimension=dimension, variant=variant)
