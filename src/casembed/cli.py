@@ -7,12 +7,18 @@ are deterministic functions of the manifest's config, so re-running with the
 same config reproduces them byte for byte.
 
 Exit codes: 0 success, 2 usage or validation error, 1 internal error.
+
+`run` is the entry point of the `casembed` command and of
+`python -m casembed.cli`: once `main` has returned and the standard streams
+are flushed, it ends the process without interpreter teardown. `hashlib`,
+which maps OpenSSL's libcrypto (about 3.6 MB of RSS), is imported only to
+write a manifest; `eval` drops its model and test set once they are scored,
+so it never holds them and libcrypto at once.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -36,7 +42,7 @@ from casembed.model import ModelError, load_model_file, save_model
 from casembed.synthetic import emit_cascades, generate_world
 from casembed.training import TrainConfig, train
 
-__all__ = ["main", "build_parser", "CliError"]
+__all__ = ["main", "run", "build_parser", "CliError"]
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -60,6 +66,8 @@ def _now() -> str:
 def _sha256(path: Path) -> str:
     """SHA-256 of a file, read through one reused 64 KiB buffer, so hashing
     holds no copy of the file."""
+    import hashlib  # not at module level: see the module docstring
+
     digest = hashlib.sha256()
     view = memoryview(bytearray(1 << 16))
     with open(path, "rb", buffering=0) as handle:
@@ -85,6 +93,8 @@ def _commit(
     its reader got. Input digests are taken by reading each input again here,
     after the command has read it, so an input that changed in between is
     recorded as it is now."""
+    import hashlib  # not at module level: see the module docstring
+
     for path in [*outputs, manifest]:
         Path(os.path.realpath(path)).parent.mkdir(parents=True, exist_ok=True)
     for path, data in outputs.items():
@@ -128,6 +138,14 @@ def _check_outputs(outputs: list[Path | None], inputs: list[Path]) -> None:
         named[resolved] = f"output {path}"
 
 
+def _check_stdout() -> None:
+    """Refuse, before any work, a command whose report or log goes to a
+    closed standard output: dropping it and exiting 0 would make a failure
+    look like success."""
+    if sys.stdout is None:
+        raise CliError("standard output is closed")
+
+
 def _read_dataset(path: Path):
     if not path.is_file():
         raise CliError(f"cannot read cascade file {path}")
@@ -163,6 +181,8 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     started = _now()
     manifest = Path(f"{args.model_out}.manifest.json")
+    if args.log is None:
+        _check_stdout()
     _check_outputs([args.model_out, args.log, manifest], [args.train])
     config = TrainConfig(
         epochs=args.epochs,
@@ -221,13 +241,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = _now()
-    if args.out is not None:
+    if args.out is None:
+        _check_stdout()
+    else:
         _check_outputs([args.out, Path(f"{args.out}.manifest.json")], [args.model, args.test])
     if not args.model.is_file():
         raise CliError(f"cannot read model file {args.model}")
     model = load_model_file(args.model)
     test_set = _read_dataset(args.test)
     report = evaluate(model, test_set)
+    del model, test_set  # the report is all that is left to write
     text = report_tsv(report) if args.tsv else report_json_lines(report)
     if args.out is not None:
         _commit(
@@ -387,5 +410,21 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """Run `main` on the command line, flush the standard streams that are
+    open, and end the process with `main`'s exit code through `os._exit`,
+    which skips interpreter teardown. If a flush fails, leave through
+    `sys.exit` instead, so that the interpreter's shutdown handles the
+    stream as it does without `run`."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

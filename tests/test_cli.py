@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import casembed.cli as cli
 import casembed.training as training
 from casembed.combinations import build_table
 from casembed.data import load_cascade_file, save_cascade_file
-from casembed.evaluate import evaluate
+from casembed.evaluate import evaluate, report_json_lines
 from casembed.model import init_model, load_model_file, save_model, save_model_file
 from casembed.training import TrainConfig
 
@@ -29,7 +30,9 @@ def _cli_env():
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
 
 
-_RUN_CLI = "import sys, casembed.cli; sys.exit(casembed.cli.main(sys.argv[1:]))"
+# The command as installed: `python -m casembed.cli` runs `cli.run`, the
+# `casembed` console script's entry point.
+_CLI = [sys.executable, "-m", "casembed.cli"]
 
 
 def _sha256(data):
@@ -256,7 +259,7 @@ class TestTrain:
         # records included
         argv = ["train", "--train", corpus, "--epochs", 5, "--model-out", model_path,
                 "--log", log_path]
-        proc = subprocess.run([sys.executable, "-c", _RUN_CLI, *map(str, argv)],
+        proc = subprocess.run([*_CLI, *map(str, argv)],
                               capture_output=True, text=True, timeout=60, env=_cli_env())
         assert proc.returncode == 2
         err = proc.stderr.splitlines()
@@ -514,7 +517,7 @@ class TestManifestDigests:
         try:
             # in a subprocess, so that a command that blocks on the FIFO fails
             # this test rather than hanging the suite
-            proc = subprocess.run([sys.executable, "-c", _RUN_CLI, *map(str, argv)],
+            proc = subprocess.run([*_CLI, *map(str, argv)],
                                   capture_output=True, text=True, timeout=60, env=_cli_env())
             reader.join(timeout=10)
         finally:
@@ -680,6 +683,162 @@ class TestEval:
         bad.write_bytes(b"IAEMgarbage")
         assert run("eval", "--model", bad, "--test", test_path) == 2
 
+    @pytest.mark.parametrize("fmt", ["--json", "--tsv"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_model_and_test_set_released_before_the_report(
+        self, trained, tmp_path, monkeypatch, fmt, to_file
+    ):
+        """`eval` holds its model and test set while it scores, then only the
+        report while it renders and writes it."""
+        model_path, test_path = trained
+        scored, alive = [], []
+
+        def scorer(model, test_set):
+            scored.extend([weakref.ref(model), weakref.ref(test_set)])
+            return evaluate(model, test_set)
+
+        def renderer(render):
+            def wrapped(report):
+                alive.append([ref() is not None for ref in scored])
+                return render(report)
+            return wrapped
+
+        monkeypatch.setattr(cli, "evaluate", scorer)
+        monkeypatch.setattr(cli, "report_json_lines", renderer(cli.report_json_lines))
+        monkeypatch.setattr(cli, "report_tsv", renderer(cli.report_tsv))
+        out = ["--out", tmp_path / "report"] if to_file else []
+        assert run("eval", "--model", model_path, "--test", test_path, fmt, *out) == 0
+        assert alive == [[False, False]]
+
+
+# `cli.run` with a scorer that fails unexpectedly: exit code 1.
+_RUN_FAILING_EVAL = """\
+import casembed.cli as cli
+def evaluate(model, test_set):
+    raise RuntimeError("synthetic failure")
+cli.evaluate = evaluate
+cli.run()
+"""
+
+
+class TestEntryPoint:
+    """`python -m casembed.cli` and the `casembed` command run `cli.run`. It
+    flushes the standard streams and ends the process without interpreter
+    teardown; output and exit codes are those of `main`."""
+
+    @pytest.fixture()
+    def world(self, tmp_path):
+        """A ground-truth model and a test file whose JSON report, about
+        220 KB, outgrows a pipe's buffer."""
+        out = tmp_path / "w"
+        assert run("synth", "--sources", 30, "--users-per-source", 20, "--dim", 2,
+                   "--cascades-per-source", 100, "--len", 6, "--out-dir", out) == 0
+        return out / "world.iaem", out / "synthetic.cascades"
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    @pytest.mark.parametrize("sink", ["file", "pipe"])
+    def test_report_and_exit_code_arrive_whole(self, world, tmp_path, sink, code):
+        model, test = world
+        if code == 2:
+            model = tmp_path / "none.iaem"
+        argv = ["eval", "--model", model, "--test", test]
+        head = [sys.executable, "-c", _RUN_FAILING_EVAL] if code == 1 else _CLI
+        stdout = tmp_path / "stdout"
+        with open(stdout, "wb") as sink_file:
+            proc = subprocess.run(
+                [*head, *map(str, argv)],
+                stdout=sink_file if sink == "file" else subprocess.PIPE,
+                stderr=subprocess.PIPE, timeout=60, env=_cli_env(),
+            )
+        out = stdout.read_bytes() if sink == "file" else proc.stdout
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            report = evaluate(load_model_file(model), load_cascade_file(test))
+            assert len(out) > 1 << 16
+            assert out.decode() == report_json_lines(report) + f"MAP {report.map:.6f}\n"
+            assert proc.stderr == b""
+        else:
+            assert out == b""
+            assert proc.stderr.decode() == {
+                1: "internal error: synthetic failure\n",
+                2: f"error: cannot read model file {model}\n",
+            }[code]
+
+    def test_broken_pipe_exit_2(self, world, tmp_path):
+        """The reader stops after 10 bytes, as `| head -c 10` does, while the
+        report is still being written."""
+        model, test = world
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen([*_CLI, "eval", "--model", str(model), "--test", str(test)],
+                                    stdout=subprocess.PIPE, stderr=err, env=_cli_env())
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 2
+        assert (tmp_path / "stderr").read_text() == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("command, to_file, code", [
+        ("eval", False, 2), ("eval", True, 0), ("train", False, 2), ("train", True, 0),
+    ], ids=["eval", "eval-out", "train", "train-log"])
+    def test_closed_stdout(self, corpus, tmp_path, command, to_file, code):
+        """With standard output closed (`>&-`), `sys.stdout` is None. A report
+        or log bound for it is refused before any work, with nothing
+        written; with `--out` or `--log` the command writes its artifacts,
+        skips its closing line and exits 0, without a traceback."""
+        out = tmp_path / "out"
+        if command == "eval":
+            argv = ["eval", "--model", corpus.parent / "world.iaem", "--test", corpus]
+            option, target = "--out", out / "r.jsonl"
+            artifacts = [target, out / "r.jsonl.manifest.json"]
+        else:
+            argv = ["train", "--train", corpus, "--dim", 2, "--epochs", 2,
+                    "--model-out", out / "m.iaem"]
+            option, target = "--log", out / "m.log"
+            artifacts = [out / "m.iaem", out / "m.iaem.manifest.json", target]
+        if to_file:
+            argv += [option, target]
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *_CLI, *map(str, argv)],
+                              capture_output=True, text=True, timeout=60, env=_cli_env())
+        assert proc.returncode == code
+        if code:
+            assert proc.stderr == "error: standard output is closed\n"
+            assert not out.exists()
+        else:
+            assert proc.stderr == ""
+            assert sorted(out.iterdir()) == sorted(artifacts)
+
+    @pytest.mark.parametrize("streams, flushed, exit_via", [
+        ("open", ["out", "err"], "_exit"),
+        ("stdout closed", ["err"], "_exit"),
+        ("flush fails", [], "sys.exit"),
+    ])
+    def test_run_flushes_then_skips_teardown(self, monkeypatch, streams, flushed, exit_via):
+        calls = []
+
+        class Stream:
+            def __init__(self, name):
+                self.name = name
+
+            def flush(self):
+                if streams == "flush fails":
+                    raise BrokenPipeError(32, "Broken pipe")
+                calls.append(self.name)
+
+        class Exited(BaseException):
+            pass
+
+        def fast_exit(code):
+            raise Exited(code)
+
+        monkeypatch.setattr(cli, "main", lambda: 2)
+        monkeypatch.setattr(os, "_exit", fast_exit)
+        monkeypatch.setattr(sys, "stdout", None if streams == "stdout closed" else Stream("out"))
+        monkeypatch.setattr(sys, "stderr", Stream("err"))
+        with pytest.raises((Exited, SystemExit)) as exc:
+            cli.run()
+        assert calls == flushed
+        assert exc.type is (Exited if exit_via == "_exit" else SystemExit)
+        assert exc.value.args == (2,)
+
 
 class TestParser:
     def test_usage_error_exit_2(self):
@@ -718,32 +877,44 @@ class TestParser:
         assert "MAP 1.000000" in capsys.readouterr().out
 
 
-_IMPORTS_MA = """\
-import sys
+_WATCHED = ("_hashlib", "numpy.random", "numpy.ma")
+_FOOTPRINT = f"""\
+import json, sys
+import numpy
+loaded = {{"numpy": set(sys.modules)}}
 import casembed.cli
-code = casembed.cli.main(sys.argv[1:])
-print(code, "numpy.ma" in sys.modules)
+loaded["import"] = set(sys.modules)
+code = casembed.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+loaded["command"] = set(sys.modules)
+print(json.dumps([code, {{stage: [m for m in {_WATCHED!r} if m in modules]
+                         for stage, modules in loaded.items()}}]))
 """
 
 
-@pytest.mark.skipif(
-    subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
-                   capture_output=True, text=True).stdout.strip() != "False",
-    reason="import numpy alone imports numpy.ma (numpy < 2)",
-)
-def test_commands_do_not_import_numpy_ma(corpus, tmp_path):
-    """Start-up cost: importing numpy.ma adds about 1 MB of peak RSS, and
-    np.unique without return flags imports it through np.ma.is_masked
-    (numpy 2.4), as can np.isin. No command needs it."""
+def test_import_footprint(corpus, tmp_path):
+    """Start-up cost. `import casembed.cli` loads none of `_hashlib` (OpenSSL's
+    libcrypto, about 3.6 MB of RSS), `numpy.random` or `numpy.ma` (about
+    1 MB) beyond what `import numpy` itself loads. No command imports
+    numpy.ma, which np.unique without return flags imports through
+    np.ma.is_masked (numpy 2.4), as can np.isin; and `eval` without `--out`,
+    which writes no manifest, loads none of them."""
     steps = [
+        [],
         ["split", "--input", corpus, "--out-dir", tmp_path],
         ["train", "--train", tmp_path / "train.cascades", "--dim", 2, "--epochs", 2,
          "--model-out", tmp_path / "m.iaem", "--log", tmp_path / "m.log"],
         ["eval", "--model", tmp_path / "m.iaem", "--test", tmp_path / "test.cascades",
          "--out", tmp_path / "report.jsonl"],
+        ["eval", "--model", tmp_path / "m.iaem", "--test", tmp_path / "test.cascades"],
     ]
     for argv in steps:
-        proc = subprocess.run([sys.executable, "-c", _IMPORTS_MA, *map(str, argv)],
+        proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *map(str, argv)],
                               capture_output=True, text=True, timeout=300, env=_cli_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False", (argv[0], proc.stdout)
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        added = {stage: set(loaded[stage]) - set(loaded["numpy"]) for stage in loaded}
+        assert code == 0, proc.stderr
+        assert added["import"] == set(), argv
+        assert "numpy.ma" not in added["command"], argv
+        if argv[:1] == ["eval"] and "--out" not in argv:
+            assert added["command"] == set()
