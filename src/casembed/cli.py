@@ -385,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--dim", type=int, default=4)
     sy.add_argument("--cascades-per-source", type=int, default=100)
     sy.add_argument("--len", dest="length", type=int, default=8,
-                    help="users drawn per cascade (default 8)")
+                    help="users drawn per cascade from its source's pool, nearer "
+                    "users more often (heat kernel at t = 0.1; default 8)")
     sy.add_argument("--noise", type=float, default=0.0,
                     help="adjacent swap probability during emission (default 0)")
     sy.add_argument("--seed", type=_seed, default=0)
@@ -403,11 +404,23 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, ModelError, ValueError, OSError) as exc:  # a CascadeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+        _print_error(f"internal error: {exc}")
         return EXIT_INTERNAL
+
+
+def _print_error(line: str) -> None:
+    """Write an error line to standard error, as argparse does: nothing when
+    it is closed (`None`; `print` would fall back to standard output) or
+    cannot be written, so the exit code still reports the failure."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def run() -> None:

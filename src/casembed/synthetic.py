@@ -3,10 +3,13 @@
 A planted world is its ground truth: an independent-variant model in which
 each source owns a disjoint pool of users. `emit_cascades` reads the sources
 and their pools from such a model, and refuses a model of another variant.
-It emits cascades whose members are drawn uniformly from a source's pool and
-ordered by their true distance, then perturbed by one adjacent-swap pass at
-the `noise` it is given. Training on noiseless emissions should therefore
-recover a geometry that satisfies every extracted ordering constraint.
+It emits cascades whose members are drawn from a source's pool through the
+ground truth's heat-diffusion kernel, so nearer users are reached more
+often, and ordered by their true distance, then perturbed by one
+adjacent-swap pass at the `noise` it is given. Training on noiseless
+emissions should therefore recover a geometry that satisfies every
+extracted ordering constraint, and a model that learned it ranks a held-out
+cascade's members first.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from casembed.model import EmbeddingModel
 __all__ = ["generate_world", "emit_cascades"]
 
 _TIE_GAP = 1e-9
+# Kernel time t of the membership draw: a user at squared distance d2 is
+# weighted by exp(-d2 / (4 t)).
+_KERNEL_TIME = 0.1
 
 
 def generate_world(
@@ -83,12 +89,15 @@ def emit_cascades(
 
     The sources are the model's influence users that own a susceptibility
     space, in id order, and a source's pool is that space's ids, sorted.
-    Each cascade draws cascade_len users uniformly without replacement from
-    the source's pool, orders them by ascending ground-truth distance, then
-    runs one left-to-right pass swapping each adjacent pair independently
-    with probability noise. The swap randoms are drawn regardless of the
-    noise level, so cascade membership is seed-stable across noise
-    settings. Deterministic per seed.
+    Each cascade draws cascade_len users of the source's pool without
+    replacement, each weighted by the heat kernel exp(-d2 / (4 t)) at
+    t = 0.1 (Gumbel top-L over the log kernel -d2 / (4 t); the kernel's
+    normalizer is the same for every user of a source, so the draw ignores
+    it). It orders them by ascending ground-truth distance, then runs one
+    left-to-right pass swapping each adjacent pair independently with
+    probability noise. The swap randoms are drawn regardless of the noise
+    level, so cascade membership is seed-stable across noise settings.
+    Deterministic per seed.
     """
     if per_source < 1:
         raise ValueError(f"per_source must be at least 1, got {per_source}")
@@ -111,11 +120,13 @@ def emit_cascades(
     rng = np.random.default_rng(seed)
     rows: list[tuple[str, list[str]]] = []
     for source, pool in pools.items():
-        dist = {u: world.distance_sq(source, u) for u in pool}
+        ids = np.array(pool)
+        dist = np.array([world.distance_sq(source, u) for u in pool])
+        log_kernel = -dist / (4.0 * _KERNEL_TIME)
         for k in range(per_source):
-            members = [int(u) for u in rng.choice(pool, size=cascade_len, replace=False)]
-            members.sort(key=dist.__getitem__)
-            for p in range(len(members) - 1):
+            drawn = np.argsort(-(log_kernel + rng.gumbel(size=len(pool))))[:cascade_len]
+            members = ids[drawn[np.argsort(dist[drawn], kind="stable")]].tolist()
+            for p in range(cascade_len - 1):
                 if rng.random() < noise:
                     members[p], members[p + 1] = members[p + 1], members[p]
             rows.append(

@@ -1,9 +1,12 @@
 """End-to-end acceptance gates.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
-per criterion. Each criterion pins its tolerance; criteria 5-7 use a
-noiseless planted corpus whose ideal ordering is known by construction, and
-criterion 9 a planted corpus whose members follow the ground truth's kernel.
+per criterion. Each criterion pins its tolerance. Criteria 5-7 and 9 use
+planted corpora from `emit_cascades`, whose members follow the ground
+truth's heat kernel and whose ideal ordering is known by construction:
+criteria 5-7 a noiseless one, criterion 9 one with swap noise. Their test
+cascades hold 8 of a source's 20 users, so MAP scores which users a model
+ranks first, not only their order.
 """
 
 import math
@@ -52,20 +55,22 @@ TRAIN_EPOCHS = 500
 def planted():
     world = generate_world(5, 20, 4, seed=11)
     train_set = emit_cascades(world, 100, 8, seed=101)
-    # held-out test emissions cover each source's full pool, so AP measures
-    # how completely the trained spaces cover and rank the users reached
-    test_set = emit_cascades(world, 20, 20, seed=202)
+    # held-out test cascades hold 8 of each source's 20 users; on the whole
+    # pool every model would score the same MAP
+    test_set = emit_cascades(world, 20, 8, seed=202)
     return world, train_set, test_set
+
+
+def _fit(train_set, sampling="dominant", epochs=TRAIN_EPOCHS):
+    config = TrainConfig(epochs=epochs, dimension=8, learning_rate=0.01,
+                         sampling=sampling, seed=1)
+    return train(train_set, config)
 
 
 @pytest.fixture(scope="module")
 def trained(planted):
     _, train_set, _ = planted
-    config = TrainConfig(
-        epochs=TRAIN_EPOCHS, dimension=8, learning_rate=0.01,
-        sampling="dominant", seed=1,
-    )
-    return train(train_set, config)
+    return _fit(train_set)
 
 
 def test_criterion_1_margin_reproduction():
@@ -199,16 +204,24 @@ def test_criterion_4_average_precision():
 
 
 def test_criterion_5_planted_recovery(planted, trained):
-    _, _, test_set = planted
+    """Measured at worlds 11-13 (this fixture is world 11): trained
+    0.943-0.955, ground truth 0.947-0.956, untrained 0.560-0.626, chance
+    0.565-0.585."""
+    world, train_set, test_set = planted
     model, history = trained
     initial = history[0].total_loss
     final = history[-1].total_loss
     ok_loss = final <= 0.05 * initial
     report = evaluate(model, test_set)
-    ok_map = report.map >= 0.90
+    trained_map, chance = report.map, report.chance_map
+    untrained = evaluate(_fit(train_set, epochs=0)[0], test_set).map
+    truth = evaluate(world, test_set).map
+    ok_map = (trained_map >= max(chance, untrained) + 0.25
+              and trained_map >= truth - 0.03)
     _gate(5, "planted recovery", ok_loss and ok_map,
           f"loss {initial:.1f} -> {final:.3g} in {len(history)} epochs,"
-          f" test MAP {report.map:.4f}")
+          f" test MAP {trained_map:.4f}, ground truth {truth:.4f},"
+          f" untrained {untrained:.4f}, chance {chance:.4f}")
 
 
 def test_criterion_6_loss_descent(planted):
@@ -225,6 +238,10 @@ def test_criterion_6_loss_descent(planted):
 
 
 def test_criterion_7_sampling_economy(planted):
+    """Dominant sampling shrinks the table and the epoch without hurting
+    prediction. On the reversed duplicates full sampling fits contradictory
+    orders; measured at worlds 11-13: dominant MAP 0.942-0.955, full
+    0.725-0.752, full's chance 0.565-0.585."""
     _, train_set, test_set = planted
     reversed_dupes = [
         Cascade(c.cascade_id + "-rev", (c.source,) + tuple(reversed(c.infected)))
@@ -247,7 +264,7 @@ def test_criterion_7_sampling_economy(planted):
     for sampling, config in configs.items():
         models[sampling], history = train(augmented, config)
         work[sampling] = history.combinations + history.slots * config.dimension
-    ok_work = (work["dominant"], work["full"]) == (1750, 2657)
+    ok_work = (work["dominant"], work["full"]) == (1075, 1493)
 
     # Time the epoch alone, without the fit's set-up: each sampling's table
     # packed against its initial model, every epoch run from the initial
@@ -279,8 +296,9 @@ def test_criterion_7_sampling_economy(planted):
     ratio = statistics.median(d / f for d, f in zip(per_epoch["dominant"], per_epoch["full"]))
     ok_time = ratio < 1.0
     map_dominant = evaluate(dominant_model, test_set).map
-    map_full = evaluate(full_model, test_set).map
-    ok_map = abs(map_dominant - map_full) <= 0.05
+    full_report = evaluate(full_model, test_set)
+    map_full, chance = full_report.map, full_report.chance_map
+    ok_map = map_dominant >= map_full - 0.05 and map_full >= chance + 0.1
     _gate(
         7,
         "dominant sampling economy",
@@ -289,58 +307,25 @@ def test_criterion_7_sampling_economy(planted):
         f" epoch work {work['dominant']} vs {work['full']},"
         f" epoch {dominant_epoch * 1e3:.2f} vs {full_epoch * 1e3:.2f} ms"
         f" (paired ratio {ratio:.2f}),"
-        f" MAP {map_dominant:.3f} vs {map_full:.3f}",
+        f" MAP {map_dominant:.3f} vs {map_full:.3f} (chance {chance:.3f})",
     )
 
 
-# -- kernel membership, criterion 9 ------------------------------------------
-
-_KERNEL_TIME = 0.1
-
-
-def _kernel_cascades(world, per_source, length, seed, noise=0.0):
-    """Cascades whose members follow the ground truth's diffusion kernel.
-
-    Each cascade draws `length` users of its source's pool without
-    replacement, weighted by `diffusion_kernel(source, user, _KERNEL_TIME)`: Gumbel
-    top-k over the log kernel. It sorts them by true distance, then swaps
-    each adjacent pair with probability `noise`. `emit_cascades` draws
-    members uniformly, so AP, which scores membership, reads chance on its
-    corpora even for the ground-truth model.
-    """
-    rng = np.random.default_rng(seed)
-    rows = []
-    for source in sorted(world.influence_users()):
-        pool = np.array(sorted(world.space_of(source)))
-        log_kernel = np.log([world.diffusion_kernel(source, u, _KERNEL_TIME)
-                             for u in pool.tolist()])
-        dist = np.array([world.distance_sq(source, u) for u in pool.tolist()])
-        for k in range(per_source):
-            drawn = np.argsort(-(log_kernel + rng.gumbel(size=len(pool))))[:length]
-            members = pool[drawn[np.argsort(dist[drawn])]].tolist()
-            for p in range(length - 1):
-                if rng.random() < noise:
-                    members[p], members[p + 1] = members[p + 1], members[p]
-            token = world.token(source)
-            rows.append((f"{token}-c{k}", [token] + [world.token(u) for u in members]))
-    return CascadeDataset.from_token_rows(rows)
+# -- noisy kernel membership, criterion 9 -----------------------------------
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_criterion_9_kernel_membership_is_learned(seed):
-    """Test cascades hold 8 of a source's 20 users, so MAP scores which
-    users a model ranks first, not only their order. Measured at seeds
-    11-13: trained 0.934-0.945 (full sampling 0.933-0.946), ground truth
+    """Training cascades with swap noise 0.1. Measured at seeds 11-13:
+    trained 0.934-0.945 (full sampling 0.933-0.946), ground truth
     0.940-0.952, untrained 0.572-0.602, chance 0.545-0.588; tables of
     479-560 dominant against 574-663 full combinations."""
     world = generate_world(5, 20, 4, seed=seed)
-    train_set = _kernel_cascades(world, 100, 8, noise=0.1, seed=100 + seed)
-    test_set = _kernel_cascades(world, 20, 8, noise=0.0, seed=200 + seed)
+    train_set = emit_cascades(world, 100, 8, noise=0.1, seed=100 + seed)
+    test_set = emit_cascades(world, 20, 8, noise=0.0, seed=200 + seed)
 
     def fit(sampling, epochs=TRAIN_EPOCHS):
-        config = TrainConfig(epochs=epochs, dimension=8, learning_rate=0.01,
-                             sampling=sampling, seed=1)
-        return evaluate(train(train_set, config)[0], test_set)
+        return evaluate(_fit(train_set, sampling, epochs)[0], test_set)
 
     report = fit("dominant")
     trained, chance = report.map, report.chance_map

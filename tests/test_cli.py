@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -71,6 +73,26 @@ class TestSynth:
     def test_invalid_counts_exit_2(self, tmp_path):
         assert run("synth", "--out-dir", tmp_path, "--len", 50) == 2
         assert run("synth", "--out-dir", tmp_path, "--sources", 0) == 2
+
+
+def test_synth_pipeline_ranks_members_above_chance(tmp_path):
+    """`synth | split | train | eval`: cascade members follow the planted
+    kernel, so the trained model and the ground truth `world.iaem` both rank
+    a held-out cascade's members first, well above `chance_map`."""
+    synth, split = tmp_path / "synth", tmp_path / "split"
+    assert run("synth", "--sources", 5, "--users-per-source", 20, "--dim", 4,
+               "--cascades-per-source", 100, "--len", 8, "--noise", 0.1, "--seed", 11,
+               "--out-dir", synth) == 0
+    assert run("split", "--input", synth / "synthetic.cascades", "--test-frac", 0.2,
+               "--out-dir", split) == 0
+    assert run("train", "--train", split / "train.cascades", "--dim", 8, "--epochs", 300,
+               "--model-out", tmp_path / "model.iaem", "--log", tmp_path / "train.log") == 0
+    for model in (tmp_path / "model.iaem", synth / "world.iaem"):
+        report = tmp_path / f"{model.stem}.jsonl"
+        assert run("eval", "--model", model, "--test", split / "test.cascades",
+                   "--out", report) == 0
+        stats = json.loads(Path(f"{report}.manifest.json").read_text())["stats"]
+        assert stats["map"] >= stats["chance_map"] + 0.25, (model.name, stats)
 
 
 def test_artifacts_follow_the_umask(tmp_path):
@@ -805,6 +827,30 @@ class TestEntryPoint:
         else:
             assert proc.stderr == ""
             assert sorted(out.iterdir()) == sorted(artifacts)
+
+    @pytest.mark.parametrize("code", [1, 2])
+    @pytest.mark.parametrize("stderr", ["closed", "unwritable"])
+    def test_error_line_with_unusable_stderr(self, corpus, tmp_path, monkeypatch, stderr, code):
+        """With standard error closed (`2>&-`), `sys.stderr` is None; open on
+        a file that cannot be written, it raises OSError. Either way the
+        error line is dropped, as argparse drops its usage message: standard
+        output stays empty and the exit code still reports the failure."""
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.EBADF, "Bad file descriptor")
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
+
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", None if stderr == "closed" else Unwritable())
+        model = tmp_path / "none.iaem"
+        if code == 1:
+            monkeypatch.setattr(cli, "evaluate", boom)
+            model = corpus.parent / "world.iaem"
+        assert run("eval", "--model", model, "--test", corpus) == code
+        assert stdout.getvalue() == ""
 
     @pytest.mark.parametrize("streams, flushed, exit_via", [
         ("open", ["out", "err"], "_exit"),

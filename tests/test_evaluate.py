@@ -222,15 +222,20 @@ class TestEvaluate:
         sources = {model.user_id(test_set.token(c.source)) for c in test_set} - {None}
         assert len(sources) < test_set.num_cascades - 1  # sources repeat
         assert sorted(calls) == sorted(sources)
+        unseen = 0
         for cascade, scored in zip(test_set, report.per_cascade):
             users = tuple(model.user_id(test_set.token(u)) for u in cascade.users)
             if users[0] is None:
                 assert not scored.source_known
                 continue
-            assert None not in users
+            # a user the train split never saw is a miss: a distinct negative
+            # id, which no ranking holds
+            unseen += users.count(None)
+            users = tuple(-2 - k if u is None else u for k, u in enumerate(users))
             prediction = rank_for_source(model, users[0])
             assert scored.ap == average_precision(prediction, Cascade("t", users))
             assert scored.candidate_count == len(prediction.ranking)
+        assert unseen > 0  # the reference scores misses, too
 
     def test_threads_do_not_change_results(self):
         model, test_set = self._pipeline()
@@ -239,20 +244,20 @@ class TestEvaluate:
         assert serial == pooled
 
     def test_random_model_map_near_membership_baseline(self):
-        # uniformly drawn cascade members carry no ranking signal, so any
-        # fixed ranking lands at the Monte-Carlo membership baseline
+        # an untrained model ranks its candidates in random order, so over
+        # init seeds its MAP averages to the expected AP of a uniformly
+        # random ranking of the same candidates
         world = generate_world(4, 20, 3, seed=77)
         train_set = emit_cascades(world, 80, 8, seed=78)
         test_set = emit_cascades(world, 50, 8, seed=79)
-        model, _ = train(train_set, TrainConfig(epochs=0, dimension=6, seed=9))
-        report = evaluate(model, test_set)
-        rng = np.random.default_rng(0)
-        samples = []
-        for _ in range(20000):
-            positions = np.sort(rng.choice(20, size=8, replace=False)) + 1
-            samples.append(np.mean([(i + 1) / p for i, p in enumerate(positions)]))
-        baseline = float(np.mean(samples))
-        assert report.map == pytest.approx(baseline, abs=0.05)
+        reports = [
+            evaluate(train(train_set, TrainConfig(epochs=0, dimension=6, seed=seed))[0],
+                     test_set)
+            for seed in range(30)
+        ]
+        assert {report.chance_map for report in reports} == {reports[0].chance_map}
+        mean = float(np.mean([report.map for report in reports]))
+        assert mean == pytest.approx(reports[0].chance_map, abs=0.05)
 
 
 class TestReports:

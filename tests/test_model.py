@@ -111,12 +111,12 @@ class TestInitModel:
 # numbering follows first appearance in the table, so a change in allocation
 # order changes these bytes.
 _INIT_DIGESTS = {
-    ("synthetic", "dominant", "independent"): "89436a7baaa7582580ced760b40e3d04fe12e1e84b316b8345a7694ad7b778f2",
-    ("synthetic", "dominant", "shared_susceptibility"): "008a66ec154322ad60ff3f27dea25be16737757970c84650ad0c4f338ec8ea23",
-    ("synthetic", "dominant", "single_space"): "d79bfe96bd32618189603b262f750dc27d42f5f43d9cb5cd38c1e957800a6b08",
-    ("synthetic", "full", "independent"): "89436a7baaa7582580ced760b40e3d04fe12e1e84b316b8345a7694ad7b778f2",
-    ("synthetic", "full", "shared_susceptibility"): "008a66ec154322ad60ff3f27dea25be16737757970c84650ad0c4f338ec8ea23",
-    ("synthetic", "full", "single_space"): "d79bfe96bd32618189603b262f750dc27d42f5f43d9cb5cd38c1e957800a6b08",
+    ("synthetic", "dominant", "independent"): "2f40dd1aac96a4506a5a01591db770d84eb9544db85fb0ac43fabecbcbf9a1f7",
+    ("synthetic", "dominant", "shared_susceptibility"): "72d71cb70fc4f4a80fa6dad554e65d6cf80de856424574e20f340016e56725c1",
+    ("synthetic", "dominant", "single_space"): "1a1ecf2e71356fd6728eb188fef4f473c8bc3d2c4b2eb62833d1ce97d77eee7f",
+    ("synthetic", "full", "independent"): "445982ca833744a8922e61e4e9dcfdc4b809a9bc0fb168533320ba751266fdaa",
+    ("synthetic", "full", "shared_susceptibility"): "70ab23ab9e55d9ad5bb433fab4cffe99b8a75fad8df7bf10495e1008423d1629",
+    ("synthetic", "full", "single_space"): "c20e18d89a2e3c23c1a55795482b9e02b05abdcd301c756623ce59be06a107b6",
     ("overlapping", "dominant", "independent"): "d7d16e6c7cf5149ac46d3058f6bd82a9229cf2f282432c8abeb1cae833a9cc73",
     ("overlapping", "dominant", "shared_susceptibility"): "d0ba8613f50a1c8286a8e4141dca992d6e91e21e28e033514883190c91e4c851",
     ("overlapping", "dominant", "single_space"): "afa6ffa6eb8db9b42cc7062ea8e6423b0365baef8e24349f3f22ad4db8956ff9",

@@ -18,36 +18,36 @@ import pytest
 import casembed.cli as cli
 
 SPLIT = {
-    "train.cascades": "af5b09c2636a352d804bcbd61c90fe9341c8fbf9f83eb81265e601cfdb47ffdf",
-    "test.cascades": "2f2fcfa247bbf51c652135c09fcaa2146a697ff4c7cd9cc3652fd861c07b8de5",
+    "train.cascades": "dea3b9ab5f63ddc80b43afa17118e401ec7cc8a3ccd9a5aa7d41e6d4b4a06a0e",
+    "test.cascades": "0783126908b5d6552bb5d41bdd7e766d605d292a272e0c87295303a2da685028",
 }
 VARIANT = {
     "independent": {
-        "model": "eb3b39a5672e3f58cce6c1bde2f9a6e67b33cef81e63d8019fb577ba52acaa0c",
-        "log": "2b254a9b69afddeb8f6b824b51e0e936763d0a1260c0353ea70d0af80af13418",
-        "train_stats": "70e62a00f9c2590e1549a86deec3929fc8e35acd2db877917a783aef49bc2e11",
-        "json": "941456a5232c519f886fd447d32d84f179865d573e04b18039192bc762c0889b",
-        "json_stats": "91bdc596f30f56b00b284ee3f609399b587a3f34817bb65ad41a40e9eac2cf12",
-        "tsv": "a94bcf20fa8e4614bc0d1646b80aea209a7f953c892d8cb268d012528feeadbe",
-        "tsv_stats": "0d4d7fb0496d02e4bcdc39b102ff525a77277235f40cbe6be8b98cbfb5af328d",
+        "model": "86760357582542ac77a3fe90fe04c0fd0c83a720708dd3fe1250fd448aebbfb5",
+        "log": "85b722109b49815f9cc3703815dabc63db1c0315245d375165ed07b274eed579",
+        "train_stats": "8185c38d760382fdec16ba25aef3832bea1d12a1096e7baf06295004b0fb59ea",
+        "json": "9eb2715429d2fe553d7b26fa10f62dda25545c07ffbbdf055c7a6ae727e93932",
+        "json_stats": "9d2ca4e736efbd4e693392ebc013a2371866121fe8e343a245e4ab2354c18b11",
+        "tsv": "935a19791732fef645a906e4b178622aa5b1935be9aa92f5556d5d42f6f6b17d",
+        "tsv_stats": "630f3ee32d3cf43b51ae21818b19bcb57d7d2984fe8fae787df8d117d11ab76d",
     },
     "shared": {
-        "model": "c0158cd4366a07c7a84db4e4b79e45cdf66d79eb5ae106aee065f7e9d91abf37",
-        "log": "2b254a9b69afddeb8f6b824b51e0e936763d0a1260c0353ea70d0af80af13418",
-        "train_stats": "70e62a00f9c2590e1549a86deec3929fc8e35acd2db877917a783aef49bc2e11",
-        "json": "10897682230107bd103f8a896d94caf70adf74182daf5cb894df3ae4d81cb4fc",
-        "json_stats": "1c15ef818b8729774baa25b404579d5eea826fb6d09d81e8df635b46eceb006a",
-        "tsv": "1e41d8a4e5a9eb8a676d0d2881ac0522fa8400a2eea30fabb66cbd416532fef1",
-        "tsv_stats": "97abfc3dcd318370f4e7db4b15643e83d56bf3f85daced620f25550dee329762",
+        "model": "699c60f034e464959dc626528ac3e1ffcb37710da9637200998f11c05b847ebf",
+        "log": "85b722109b49815f9cc3703815dabc63db1c0315245d375165ed07b274eed579",
+        "train_stats": "8185c38d760382fdec16ba25aef3832bea1d12a1096e7baf06295004b0fb59ea",
+        "json": "533dd8724721c579e9f7fd6183737fae852a8570335f1443fc5d26301f6c990a",
+        "json_stats": "6b7a4bd35578d85c4e38e945ffca2cb248218e95ed3b595f22029992284e8d4e",
+        "tsv": "047105ddefe1593e997d493dfaeaddebdadc185a4aec19db82b0986adcfca755",
+        "tsv_stats": "8aeb599c3fbb8a80e4d87eca3abe8d3c2b3e283f0443120c7893821132d8ce30",
     },
     "single": {
-        "model": "24fcaf23132676dd774d2e7f93db4dd9b841adc91910a09b6220e43cc6427da7",
-        "log": "2b254a9b69afddeb8f6b824b51e0e936763d0a1260c0353ea70d0af80af13418",
-        "train_stats": "70e62a00f9c2590e1549a86deec3929fc8e35acd2db877917a783aef49bc2e11",
-        "json": "31ab591b6b4bbbaee3448c5d71c25cbadcb835309343cdc502d5393d859f89ed",
-        "json_stats": "8c2cb5e74d46b6729663b0aac30cd2a627e2acda29c468a001799a53eb086109",
-        "tsv": "9a84f225b2a3e3211c830bfc7087761cd8644009d8e14d3a4faffd0236a14756",
-        "tsv_stats": "0c49dac636438e9842075239dafab7181efc83bdea8eb5bb1a3b3d21d6cbafa9",
+        "model": "fd30449e9beaca817eb57367956687eaaa58a3ed4019f57dbaadb9eef2ff92d1",
+        "log": "85b722109b49815f9cc3703815dabc63db1c0315245d375165ed07b274eed579",
+        "train_stats": "8185c38d760382fdec16ba25aef3832bea1d12a1096e7baf06295004b0fb59ea",
+        "json": "db0ff08f7785239f6c998741a9bb188c101b706d5550f7711764d002cbb5265a",
+        "json_stats": "2b9ebe3d2aaa8925310a82245036309d783e182a3e1b75c6aa770cb5c60ce563",
+        "tsv": "ad62ea17401146a67bdec4c3a3a075be59d1e086a9d9a51ab7495474d852d94d",
+        "tsv_stats": "adc76fb9ffd4f12e6cd1cf2b14e75e3315b348a0c50fde61a7cbd4ff08dfcc2a",
     },
 }
 PROBE = "ghost-c0\tghost u0 u1\ns0-x\ts0 nobody u2 u3\n"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,18 @@ class TestEmitCascades:
                 for u in cascade.infected
             ]
             assert dists == sorted(dists)
+
+    def test_nearer_users_are_drawn_more_often(self):
+        """Members follow the heat kernel: the nearer half of a pool is drawn
+        at least ten times as often as the farther half (a uniform draw
+        would draw both halves equally often)."""
+        world = generate_world(1, 20, 4, seed=17)
+        dataset = emit_cascades(world, 200, 5, seed=18)
+        drawn = Counter(dataset.token(u) for cascade in dataset for u in cascade.infected)
+        by_distance = sorted(world.space_of(0), key=lambda u: world.distance_sq(0, u))
+        counts = [drawn[world.token(u)] for u in by_distance]
+        assert sum(counts) == 200 * 5
+        assert sum(counts[:10]) >= 10 * sum(counts[10:])
 
     def test_full_noise_always_swaps_pairs(self):
         model = generate_world(2, 4, 2, seed=21)
