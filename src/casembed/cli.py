@@ -9,11 +9,15 @@ same config reproduces them byte for byte.
 Exit codes: 0 success, 2 usage or validation error, 1 internal error.
 
 `run` is the entry point of the `casembed` command and of
-`python -m casembed.cli`: once `main` has returned and the standard streams
-are flushed, it ends the process without interpreter teardown. `hashlib`,
-which maps OpenSSL's libcrypto (about 3.6 MB of RSS), is imported only to
-write a manifest; `eval` drops its model and test set once they are scored,
-so it never holds them and libcrypto at once.
+`python -m casembed.cli`. It blocks CPython's `_hashlib`, the binding to
+OpenSSL's libcrypto (about 3.4 MB of RSS), before `main` runs, so `hashlib`
+and `hmac` fall back to CPython's built-in SHA-256 and no command maps
+libcrypto: neither the manifest digests nor `np.random.default_rng`, whose
+import of `secrets` reaches `hmac`. The digests are the same. Once `main`
+has returned and the standard streams are flushed, `run` ends the process
+without interpreter teardown. `main` leaves `_hashlib` alone, so a caller
+in the same process keeps OpenSSL's `hashlib`; it is imported only to write
+a manifest.
 """
 
 from __future__ import annotations
@@ -212,6 +216,10 @@ def cmd_train(args) -> int:
         "initial_loss": history[0].total_loss if history else None,
         "final_loss": history[-1].total_loss if history else None,
         "final_active": history[-1].active_count if history else None,
+        # the saved model's own loss and active count, one update past `final_*`
+        "saved_loss": history.saved.total_loss if history else None,
+        "saved_active": history.saved.active_count if history else None,
+        "stopped": history.stopped,
     }
     _commit(
         manifest,
@@ -429,6 +437,10 @@ def run() -> None:
     which skips interpreter teardown. If a flush fails, leave through
     `sys.exit` instead, so that the interpreter's shutdown handles the
     stream as it does without `run`."""
+    # A None entry makes `import _hashlib` fail, and `hashlib` and `hmac`
+    # then use CPython's own SHA-256: same digests, and no libcrypto mapped
+    # (see the module docstring). A `_hashlib` already imported stays.
+    sys.modules.setdefault("_hashlib", None)
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):

@@ -22,22 +22,27 @@ the model's `{id: row}` views once per distinct (source, user) pair,
 order with one lexsort over those pairs, and each combination only
 gathers its two pairs' slots. The table's key columns are never read.
 
-An epoch frees the gaps and active set before its scatter, then scatters
-one dimension at a time: each slot's gradient and its negation in that
-dimension go into one reused 2S weights vector, which `np.bincount` sums by
-row over the P model points, and that dimension's step is applied to its
-column of the coordinates straight from the sum. The slot differences are
-the only array of S·D entries an epoch holds, so its working set peaks at
-about S·D + N + 2A words while it finds the A active combinations, and at
-about S·D + 4S + 2P words while it scatters. `train` drops its table once
-the table is packed, so the epochs hold only the packed table's 3N + 4S
-words of indexes and margins.
+An epoch builds nothing of S·D entries. It computes the S squared distances
+⌈S/D⌉ slots at a time, frees the distances, gaps and active set before its
+scatter, then scatters one dimension at a time: the dimension's slot
+differences x − y are gathered from its column, before the column moves,
+into one reused 2S weights vector, weighted, and negated for the
+susceptibility rows; `np.bincount` sums them by row over the P model
+points, and that dimension's step is applied to its column straight from
+the sum. Beside the coordinates its working set peaks at about N + S + 3A
+words while it finds the A active combinations, and at about 5S + 3P words
+while it scatters: O(N + A + S + P). `train` drops its table once the
+table is packed, so the epochs hold only the packed table's 3N + 4S words
+of indexes and margins.
 
 Divergence raises ValueError naming the epoch. Every epoch checks the
 distances it starts from, and train and run_epoch check the coordinates the
 last epoch left: each squared distance must be finite and small enough for
 float64 to resolve the smallest margin in a gap. Past that, a diverging run
-can read every hinge as satisfied and stop as if it had converged.
+can read every hinge as satisfied and stop as if it had converged. The
+check of the last coordinates also yields the loss and active count of the
+model `train` returns (`TrainHistory.saved`), since every `EpochStats`
+describes the state before its update.
 
 Gradient accumulation runs in a fixed order over the slots, so results are
 deterministic.
@@ -214,19 +219,23 @@ def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
     )
 
 
-def _slot_distances(coords: np.ndarray, packed: _PackedTable):
-    """Per-slot difference x - y and its squared length.
+def _slot_distances(coords: np.ndarray, packed: _PackedTable) -> np.ndarray:
+    """Per-slot squared length of x - y.
 
-    The susceptibility rows are gathered and subtracted ⌈S/D⌉ slots at a
-    time, so beside the S·D differences only about S words are gathered.
+    The rows of each slot are gathered, subtracted and reduced ⌈S/D⌉ slots
+    at a time, so only about S words of differences are alive at once. A
+    row's reduction does not depend on its neighbours, so every chunking
+    gives the one-gather result bit for bit.
     """
-    diff = coords.take(packed.slot_x, axis=0)
-    slots, dimension = diff.shape
+    slots, dimension = len(packed.slot_x), coords.shape[1]
+    d2 = np.empty(slots)
     chunk = max(1, -(-slots // dimension))
     for start in range(0, slots, chunk):
-        rows = diff[start : start + chunk]  # `diff[a:b] -= x` would also copy rows back
-        rows -= coords.take(packed.slot_y[start : start + chunk], axis=0)
-    return diff, np.einsum("ij,ij->i", diff, diff)
+        stop = start + chunk
+        diff = coords.take(packed.slot_x[start:stop], axis=0)
+        diff -= coords.take(packed.slot_y[start:stop], axis=0)
+        np.einsum("ij,ij->i", diff, diff, out=d2[start:stop])
+    return d2
 
 
 def _check_divergence(d2: np.ndarray, packed: _PackedTable, epoch: int, when: str):
@@ -247,25 +256,31 @@ def _check_divergence(d2: np.ndarray, packed: _PackedTable, epoch: int, when: st
         )
 
 
-def _run_packed_epoch(
-    model: EmbeddingModel, packed: _PackedTable, learning_rate: float, epoch: int
-) -> EpochStats:
-    coords = model.coords
-    diff, d2 = _slot_distances(coords, packed)
-    _check_divergence(d2, packed, epoch, "before")
-    work_meter.entry_dims += len(packed.margins) + diff.size
+def _hinges(d2: np.ndarray, packed: _PackedTable) -> tuple[np.ndarray, float]:
+    """Indices of the combinations active at squared slot distances `d2`,
+    and their total hinge loss."""
     gaps = d2[packed.later_slot]
     gaps -= d2[packed.earlier_slot]
     active = np.flatnonzero(gaps < packed.margins)
     hinges = gaps[active]
     del gaps
     np.subtract(packed.margins[active], hinges, out=hinges)  # margin − gap, per active
-    total_loss = float(hinges.sum())
-    del hinges
+    return active, float(hinges.sum())
+
+
+def _run_packed_epoch(
+    model: EmbeddingModel, packed: _PackedTable, learning_rate: float, epoch: int
+) -> EpochStats:
+    coords = model.coords
+    d2 = _slot_distances(coords, packed)
+    _check_divergence(d2, packed, epoch, "before")
+    slots = len(d2)
+    work_meter.entry_dims += len(packed.margins) + slots * coords.shape[1]
+    active, total_loss = _hinges(d2, packed)
+    del d2
     active_count = len(active)
 
     if active_count:
-        slots = len(d2)
         n_e = np.bincount(packed.earlier_slot[active], minlength=slots)
         n_l = np.bincount(packed.later_slot[active], minlength=slots)
         del active
@@ -283,9 +298,15 @@ def _run_packed_epoch(
         scale = 2.0 * (n_e - n_l)
         del n_e, n_l
         weights = np.empty(2 * slots)
-        for column, target in zip(diff.T, coords.T):  # `coords[:, d] -= x` would copy back
-            np.multiply(scale, column, out=weights[:slots])
-            np.negative(weights[:slots], out=weights[slots:])
+        forward, backward = weights[:slots], weights[slots:]
+        for target in coords.T:  # `coords[:, d] -= x` would copy back
+            # The dimension's slot differences x − y, from its column before
+            # the column moves. `take` gathers from a contiguous copy of the
+            # column; mode "raise" would also buffer `out`.
+            target.take(packed.rows, out=weights, mode="clip")
+            forward -= backward
+            forward *= scale
+            np.negative(forward, out=backward)
             step = np.bincount(packed.rows, weights=weights, minlength=len(coords))
             # untouched rows have a zero sum, so they move by exactly zero
             step *= learning_rate
@@ -294,9 +315,13 @@ def _run_packed_epoch(
     return EpochStats(epoch, total_loss, active_count)
 
 
-def _check_final(model: EmbeddingModel, packed: _PackedTable, epoch: int):
-    """The divergence check on the coordinates the last epoch left."""
-    _check_divergence(_slot_distances(model.coords, packed)[1], packed, epoch, "after")
+def _check_final(model: EmbeddingModel, packed: _PackedTable, epoch: int) -> EpochStats:
+    """The divergence check on the coordinates epoch `epoch` left, and their
+    loss and active count: the stats epoch `epoch + 1` would report."""
+    d2 = _slot_distances(model.coords, packed)
+    _check_divergence(d2, packed, epoch, "after")
+    active, total_loss = _hinges(d2, packed)
+    return EpochStats(epoch + 1, total_loss, len(active))
 
 
 def run_epoch(
@@ -315,12 +340,21 @@ def run_epoch(
 
 class TrainHistory(list):
     """The `EpochStats` of a `train` run, in epoch order, plus the sizes of
-    the fit: `combinations` table entries touching `slots` slots."""
+    the fit: `combinations` table entries touching `slots` slots. `saved`
+    holds the loss and active count of the model `train` returns, as the
+    next epoch would report them; it is None when no epoch ran."""
 
     def __init__(self, combinations: int, slots: int):
         super().__init__()
         self.combinations = combinations
         self.slots = slots
+        self.saved: EpochStats | None = None
+
+    @property
+    def stopped(self) -> str:
+        """Why the fit ended: "no_active" when its last epoch found no
+        active combination, else "epoch_limit"."""
+        return "no_active" if self and self[-1].active_count == 0 else "epoch_limit"
 
 
 def train(
@@ -333,8 +367,9 @@ def train(
     early once no combination is active (further epochs would be no-ops).
     The history lists each epoch's stats and carries the table's entry count
     (`combinations`) and slot count (`slots`), so callers need not build or
-    pack the table again. Deterministic for a fixed config. Raises
-    ValueError, before any model is made, when the table has no entries.
+    pack the table again, and the returned model's own stats (`saved`).
+    Deterministic for a fixed config. Raises ValueError, before any model
+    is made, when the table has no entries.
     """
     table = build_table(train_set, mu=config.mu, mode=config.sampling)
     if len(table) == 0:
@@ -351,5 +386,5 @@ def train(
         if stats.active_count == 0:
             break
     if history:
-        _check_final(model, packed, history[-1].epoch)
+        history.saved = _check_final(model, packed, history[-1].epoch)
     return model, history

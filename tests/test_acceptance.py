@@ -10,8 +10,12 @@ ranks first, not only their order.
 """
 
 import math
+import os
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,3 +427,42 @@ class TestCriterion8Invariance:
         ok = blobs[1] == blobs[4] and reports[1] == reports[4]
         _gate(8, "train/eval determinism across --threads", ok,
               "model and report bytes identical for 1 and 4 workers")
+
+    def test_cli_determinism_across_environment(self, tmp_path):
+        # What could move bytes between runs is the environment, not a
+        # flag: BLAS and OpenMP thread counts and the hash seed. Each run is
+        # `python -m casembed.cli` in its own process.
+        def run(*argv):
+            return cli.main([str(a) for a in argv])
+
+        synth_dir = tmp_path / "synth"
+        assert run("synth", "--sources", 3, "--users-per-source", 10, "--dim", 2,
+                   "--cascades-per-source", 40, "--len", 6, "--seed", 21,
+                   "--out-dir", synth_dir) == 0
+        splits = tmp_path / "splits"
+        assert run("split", "--input", synth_dir / "synthetic.cascades",
+                   "--test-frac", 0.2, "--seed", 3, "--out-dir", splits) == 0
+        src = Path(cli.__file__).resolve().parent.parent
+        path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+        artifacts = {}
+        for threads, hash_seed in (("1", "0"), ("2", "0"), ("1", "1")):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "PYTHONHASHSEED": hash_seed}
+            out = tmp_path / f"threads{threads}-hash{hash_seed}"
+            for argv in (
+                ["train", "--train", splits / "train.cascades", "--dim", 4, "--epochs", 80,
+                 "--seed", 5, "--model-out", out / "model.iaem", "--log", out / "train.log"],
+                ["eval", "--model", out / "model.iaem", "--test", splits / "test.cascades",
+                 "--out", out / "report.jsonl"],
+            ):
+                proc = subprocess.run([sys.executable, "-m", "casembed.cli", *map(str, argv)],
+                                      capture_output=True, text=True, timeout=300, env=env)
+                assert proc.returncode == 0, proc.stderr
+            artifacts[threads, hash_seed] = [
+                (out / name).read_bytes() for name in ("model.iaem", "train.log", "report.jsonl")
+            ]
+        first, *others = artifacts.values()
+        ok = all(other == first for other in others)
+        _gate(8, "train/eval determinism across the environment", ok,
+              "model, log and report bytes identical for BLAS/OpenMP threads 1 and 2"
+              " and PYTHONHASHSEED 0 and 1")

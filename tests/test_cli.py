@@ -173,6 +173,10 @@ class TestTrain:
         manifest = json.loads((tmp_path / "m.iaem.manifest.json").read_text())
         stats = manifest["stats"]
         assert stats["epochs_run"] == 50
+        assert stats["stopped"] == "epoch_limit"
+        # the saved model is one update past the last logged epoch
+        assert 0 < stats["saved_loss"] < stats["final_loss"]
+        assert stats["saved_active"] > 0
         assert stats["table_entries"] > 0
         assert stats["points"] >= 1
         assert 1 <= stats["slots"] <= 2 * stats["table_entries"]
@@ -235,6 +239,8 @@ class TestTrain:
         stats = json.loads(Path(f"{model_path}.manifest.json").read_text())["stats"]
         assert stats["epochs_run"] == 0
         assert stats["initial_loss"] is stats["final_loss"] is stats["final_active"] is None
+        assert stats["saved_loss"] is stats["saved_active"] is None
+        assert stats["stopped"] == "epoch_limit"
         out = capsys.readouterr().out
         assert out.startswith("trained 0 epochs over") and "loss" not in out
 
@@ -964,3 +970,48 @@ def test_import_footprint(corpus, tmp_path):
         assert "numpy.ma" not in added["command"], argv
         if argv[:1] == ["eval"] and "--out" not in argv:
             assert added["command"] == set()
+
+
+# `cli.run` with `os._exit` wrapped, so that the process lists the OpenSSL
+# objects it maps (libcrypto and the `_hashlib` binding) on its last line
+# just before it ends.
+_RUN_LISTING_OPENSSL = """\
+import json, os
+import casembed.cli as cli
+_exit = os._exit
+def list_then_exit(code):
+    with open("/proc/self/maps") as maps:
+        print(json.dumps(sorted({line.split()[-1] for line in maps
+                                 if "libcrypto" in line or "_hashlib" in line})),
+              flush=True)
+    _exit(code)
+os._exit = list_then_exit
+cli.run()
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_commands_map_no_libcrypto(corpus, tmp_path):
+    """`cli.run` keeps OpenSSL out of every command: `split` and `train`
+    seed numpy's generator, whose `secrets` import reaches `hmac`, and every
+    manifest hashes. The digests are still SHA-256 as OpenSSL takes it in
+    this process."""
+    assert hashlib.sha256.__module__ == "_hashlib"  # the reference is OpenSSL's
+    steps = [
+        (["split", "--input", corpus, "--out-dir", tmp_path], tmp_path / "split.manifest.json"),
+        (["train", "--train", tmp_path / "train.cascades", "--dim", 2, "--epochs", 2,
+          "--model-out", tmp_path / "m.iaem", "--log", tmp_path / "m.log"],
+         tmp_path / "m.iaem.manifest.json"),
+        (["eval", "--model", tmp_path / "m.iaem", "--test", tmp_path / "test.cascades",
+          "--out", tmp_path / "report.jsonl"], tmp_path / "report.jsonl.manifest.json"),
+    ]
+    for argv, manifest in steps:
+        proc = subprocess.run([sys.executable, "-c", _RUN_LISTING_OPENSSL, *map(str, argv)],
+                              capture_output=True, text=True, timeout=300, env=_cli_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [], argv[0]
+        record = json.loads(manifest.read_text())
+        digests = {**record["inputs"], **record["outputs"]}
+        assert len(digests) >= 2
+        for path, digest in digests.items():
+            assert digest == _sha256(Path(path).read_bytes()), path

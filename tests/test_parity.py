@@ -25,7 +25,7 @@ VARIANT = {
     "independent": {
         "model": "86760357582542ac77a3fe90fe04c0fd0c83a720708dd3fe1250fd448aebbfb5",
         "log": "85b722109b49815f9cc3703815dabc63db1c0315245d375165ed07b274eed579",
-        "train_stats": "8185c38d760382fdec16ba25aef3832bea1d12a1096e7baf06295004b0fb59ea",
+        "train_stats": "496f237990a8974be075285584283536034a13792b43519d23757c48a8788cc4",
         "json": "9eb2715429d2fe553d7b26fa10f62dda25545c07ffbbdf055c7a6ae727e93932",
         "json_stats": "9d2ca4e736efbd4e693392ebc013a2371866121fe8e343a245e4ab2354c18b11",
         "tsv": "935a19791732fef645a906e4b178622aa5b1935be9aa92f5556d5d42f6f6b17d",
@@ -34,7 +34,7 @@ VARIANT = {
     "shared": {
         "model": "699c60f034e464959dc626528ac3e1ffcb37710da9637200998f11c05b847ebf",
         "log": "85b722109b49815f9cc3703815dabc63db1c0315245d375165ed07b274eed579",
-        "train_stats": "8185c38d760382fdec16ba25aef3832bea1d12a1096e7baf06295004b0fb59ea",
+        "train_stats": "496f237990a8974be075285584283536034a13792b43519d23757c48a8788cc4",
         "json": "533dd8724721c579e9f7fd6183737fae852a8570335f1443fc5d26301f6c990a",
         "json_stats": "6b7a4bd35578d85c4e38e945ffca2cb248218e95ed3b595f22029992284e8d4e",
         "tsv": "047105ddefe1593e997d493dfaeaddebdadc185a4aec19db82b0986adcfca755",
@@ -43,7 +43,7 @@ VARIANT = {
     "single": {
         "model": "fd30449e9beaca817eb57367956687eaaa58a3ed4019f57dbaadb9eef2ff92d1",
         "log": "85b722109b49815f9cc3703815dabc63db1c0315245d375165ed07b274eed579",
-        "train_stats": "8185c38d760382fdec16ba25aef3832bea1d12a1096e7baf06295004b0fb59ea",
+        "train_stats": "496f237990a8974be075285584283536034a13792b43519d23757c48a8788cc4",
         "json": "db0ff08f7785239f6c998741a9bb188c101b706d5550f7711764d002cbb5265a",
         "json_stats": "2b9ebe3d2aaa8925310a82245036309d783e182a3e1b75c6aa770cb5c60ce563",
         "tsv": "ad62ea17401146a67bdec4c3a3a075be59d1e086a9d9a51ab7495474d852d94d",

@@ -286,10 +286,9 @@ class TestRunEpoch:
     def test_epoch_working_set_is_linear_in_table_and_slots(self, traced_peak, variant, dimension):
         # One epoch may hold at its peak 2·(N + 2·S·D) words of 8 bytes for
         # N combinations over S slots in D dimensions, and no more than
-        # 3·N + S·D + P·D words for P model points: nothing of the scatter
-        # grows with S·D beside the slot differences. At D = 64 it also holds
-        # no more than S·D + 3·N + 4·S + 2·P words: the slot differences are
-        # its one array of S·D entries, and nothing of P·D is built.
+        # 3·N + S·D + P·D words for P model points. At D = 64 it also holds
+        # no more than 3·N + 4·S + 2·P words: nothing it builds grows with
+        # the dimension, neither S·D slot differences nor P·D coordinates.
         world = generate_world(6, 40, 4, seed=5)
         table = build_table(emit_cascades(world, 40, 16, seed=6, noise=0.3), mode="full")
         cfg = TrainConfig(epochs=1, dimension=dimension, variant=variant)
@@ -303,7 +302,7 @@ class TestRunEpoch:
         assert peak <= 8 * words, f"{peak / 8 / words:.2f} words per bound word"
         if dimension == 64:
             slots, points = len(packed.slot_x), len(model.coords)
-            words = slots * cfg.dimension + 3 * len(table) + 4 * slots + 2 * points
+            words = 3 * len(table) + 4 * slots + 2 * points
             assert peak <= 8 * words, f"{peak / 8 / words:.2f} words per bound word"
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -319,26 +318,46 @@ class TestRunEpoch:
 
         assert packed_bytes(2) == packed_bytes(64)
 
+    @staticmethod
+    def _slot_distances_match(coords, slots, rng):
+        # the slots are gathered, subtracted and reduced in chunks of ⌈S/D⌉;
+        # every chunking must give the one-gather result bit for bit
+        slot_x, slot_y = rng.integers(0, len(coords), size=(2, slots))
+        empty = np.empty(0, dtype=np.int64)
+        packed = _PackedTable(slot_x, slot_y, empty, empty, np.empty(0), empty, np.inf)
+        d2 = _slot_distances(coords, packed)
+        expected = np.array(coords)[slot_x] - np.array(coords)[slot_y]
+        assert d2.shape == (slots,)
+        assert np.array_equal(d2, np.einsum("ij,ij->i", expected, expected))
+
     @pytest.mark.parametrize("slots, dimension", [
         pytest.param(0, 3, id="no-slots"),
         pytest.param(5, 64, id="fewer-slots-than-dimensions"),
         pytest.param(37, 3, id="more-slots-than-dimensions"),
         pytest.param(11, 1, id="one-dimension"),
         pytest.param(200, 64, id="dimension-64"),
+        pytest.param(997, 75, id="dimension-75"),
     ])
     def test_slot_distances_match_one_gather(self, slots, dimension):
-        # the susceptibility rows are subtracted in chunks of ⌈S/D⌉ slots;
-        # every chunking must give the one-gather result bit for bit
         rng = np.random.default_rng(slots + dimension)
-        coords = rng.normal(size=(23, dimension))
-        slot_x, slot_y = rng.integers(0, len(coords), size=(2, slots))
-        empty = np.empty(0, dtype=np.int64)
-        packed = _PackedTable(slot_x, slot_y, empty, empty, np.empty(0), empty, np.inf)
-        diff, d2 = _slot_distances(coords, packed)
-        expected = coords[slot_x] - coords[slot_y]
-        assert diff.shape == (slots, dimension)
-        assert np.array_equal(diff, expected)
-        assert np.array_equal(d2, np.einsum("ij,ij->i", expected, expected))
+        self._slot_distances_match(rng.normal(size=(23, dimension)), slots, rng)
+
+    def test_slot_distances_match_one_gather_for_every_chunking(self):
+        rng = np.random.default_rng(9)
+        for dimension in range(1, 12):
+            coords = rng.normal(size=(17, dimension))
+            for slots in range(4 * dimension + 3):
+                self._slot_distances_match(coords, slots, rng)
+
+    @pytest.mark.parametrize("slots, dimension", [(37, 3), (200, 64), (997, 75)])
+    def test_slot_distances_match_one_gather_from_a_misaligned_buffer(self, slots, dimension):
+        rng = np.random.default_rng(slots)
+        values = rng.normal(size=(23, dimension))
+        coords = np.frombuffer(bytearray(values.nbytes + 1), offset=1, count=values.size)
+        coords = coords.reshape(values.shape)
+        coords[...] = values
+        assert not coords.flags.aligned
+        self._slot_distances_match(coords, slots, rng)
 
     @pytest.mark.parametrize("variant", ["independent", "shared_susceptibility", "single_space"])
     def test_slots_are_the_distinct_source_user_pairs(self, variant):
@@ -546,9 +565,23 @@ class TestTrain:
         cfg = TrainConfig(epochs=0, dimension=4, seed=13)
         model, history = train(dataset, cfg)
         assert history == []
+        assert history.saved is None and history.stopped == "epoch_limit"
         table = build_table(dataset, mu=cfg.mu, mode=cfg.sampling)
         reference = init_model(table, cfg, np.random.default_rng(cfg.seed))
         assert model == reference
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_saved_stats_are_the_next_epochs(self, variant):
+        # at its epoch limit a fit saves the model one update past its last
+        # stats; `saved` is what one more epoch would have reported
+        dataset = self._dataset()
+        cfg = TrainConfig(epochs=7, dimension=4, seed=5, variant=variant)
+        _, history = train(dataset, cfg)
+        _, longer = train(dataset, dataclasses.replace(cfg, epochs=8))
+        assert history.stopped == "epoch_limit" and history[-1].active_count > 0
+        assert history.saved == longer[-1] == EpochStats(7, longer[-1].total_loss,
+                                                         longer[-1].active_count)
+        assert history.saved != history[-1]
 
     def test_deterministic(self):
         dataset = self._dataset()
@@ -569,6 +602,8 @@ class TestTrain:
         model, history = train(dataset, TrainConfig(epochs=5000, dimension=6, seed=5))
         assert len(history) < 5000
         assert history[-1].active_count == 0
+        assert history.stopped == "no_active"
+        assert history.saved == EpochStats(len(history), 0.0, 0)
         # a further epoch is the identity
         table = build_table(dataset, mode="dominant")
         before = model.coords.copy()
