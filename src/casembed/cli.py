@@ -31,8 +31,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 # build_table is not called here: bench/traced.py times it through this name.
 from casembed.combinations import MODES, build_table  # noqa: F401
 from casembed.data import (
@@ -44,7 +42,7 @@ from casembed.data import (
 from casembed.evaluate import evaluate, report_json_lines, report_tsv
 from casembed.model import ModelError, load_model_file, save_model
 from casembed.synthetic import emit_cascades, generate_world
-from casembed.training import TrainConfig, train
+from casembed.training import Stages, TrainConfig, train
 
 __all__ = ["main", "run", "build_parser", "CliError"]
 
@@ -89,6 +87,7 @@ def _commit(
     seed: int,
     started: str,
     stats: dict,
+    stages: Stages | None = None,
 ) -> None:
     """Make the missing parents of every output's resolved target, manifest
     included, then write each output atomically, in the order given, and the
@@ -96,7 +95,8 @@ def _commit(
     so no output is read back: a FIFO's or a device's digest is that of what
     its reader got. Input digests are taken by reading each input again here,
     after the command has read it, so an input that changed in between is
-    recorded as it is now."""
+    recorded as it is now. `stages`, when given, goes to the manifest's
+    `stages` key, outside the deterministic `stats`."""
     import hashlib  # not at module level: see the module docstring
 
     for path in [*outputs, manifest]:
@@ -113,6 +113,8 @@ def _commit(
         "finished_at": _now(),
         "stats": stats,
     }
+    if stages is not None:
+        record["stages"] = stages
     _atomic_write(manifest, json.dumps(record, indent=2, sort_keys=True).encode("utf-8"))
 
 
@@ -197,18 +199,20 @@ def cmd_train(args) -> int:
         variant=_VARIANT_FLAGS[args.variant],
         seed=args.seed,
     )
-    dataset = _read_dataset(args.train)
-    model, history = train(dataset, config)
+    stages = Stages()
+    # no name holds the corpus here, so `train` frees it once its table is built
+    model, history = train(stages.lap("read", _read_dataset(args.train)), config)
+    # the save stage runs on from the fit's last stage
+    outputs = {args.model_out: history.stages.lap("save", save_model(model))}
+    stages += history.stages
     log_lines = "".join(
         f"{s.epoch}\t{s.total_loss:.10g}\t{s.active_count}\n" for s in history
     )
-    outputs = {args.model_out: save_model(model)}
     if args.log is not None:
         outputs[args.log] = log_lines.encode("utf-8")
-    infected = np.diff(dataset.offsets) - 1
     stats = {
         # the triples the table merges: its build's working set scales with them
-        "triples": int((infected * (infected - 1) // 2).sum()),
+        "triples": history.triples,
         "table_entries": history.combinations,
         "points": model.num_points,
         "slots": history.slots,
@@ -238,6 +242,7 @@ def cmd_train(args) -> int:
         config.seed,
         started,
         stats,
+        stages,
     )
     if args.log is None:
         sys.stdout.write(log_lines)
@@ -255,11 +260,12 @@ def cmd_eval(args) -> int:
         _check_outputs([args.out, Path(f"{args.out}.manifest.json")], [args.model, args.test])
     if not args.model.is_file():
         raise CliError(f"cannot read model file {args.model}")
-    model = load_model_file(args.model)
-    test_set = _read_dataset(args.test)
-    report = evaluate(model, test_set)
+    stages = Stages()
+    model = stages.lap("load", load_model_file(args.model))
+    test_set = stages.lap("read", _read_dataset(args.test))
+    report = stages.lap("evaluate", evaluate(model, test_set))
     del model, test_set  # the report is all that is left to write
-    text = report_tsv(report) if args.tsv else report_json_lines(report)
+    text = stages.lap("render", report_tsv(report) if args.tsv else report_json_lines(report))
     if args.out is not None:
         _commit(
             Path(f"{args.out}.manifest.json"),
@@ -274,6 +280,7 @@ def cmd_eval(args) -> int:
             0,
             started,
             {**report.summary, "chance_map": report.chance_map},
+            stages,
         )
     else:
         sys.stdout.write(text)

@@ -41,15 +41,27 @@ Model file layout (integers and floats little-endian):
 Tokens are distinct. A user id occurs at most once per point block (and a
 source id once among the per-source blocks); when the token table is
 non-empty every id indexes into it. Coordinates are finite. The loader reads
-each field at an explicit byte offset and reports any failure as a
-`ModelFormatError` at the offset of the field it spoils; when several fields
-are damaged, the first in file order is reported.
+each field in file order and reports any failure as a `ModelFormatError` at
+the offset of the field it spoils; when several fields are damaged, the
+first in file order is reported, except that within a point block a bad id
+is reported before a non-finite coordinate.
+
+One parser serves `load_model` and `load_model_file`, so the same bytes
+load alike or fail alike. It reads through a source: views of the bytes in
+memory, or a file's 64 KiB window that `readinto` refills. It copies point
+records a piece of about 64 KiB at a time into one coordinate array,
+allocated once with a row for each record the bytes after the token table
+could hold; nothing is sized by a header field alone, and no copy of the
+file is held. A model keeps its `{token: id}` index beside its token tuple;
+`init_model` leaves it to be built on the first lookup (`user_id`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import stat
 import struct
 from functools import cached_property
 from types import MappingProxyType
@@ -77,6 +89,7 @@ _VARIANT_TAGS = {name: tag for tag, name in enumerate(VARIANTS)}
 _MAGIC = b"IAEM"
 _VERSION = 1
 _U32 = struct.Struct("<I")
+_PIECE = 1 << 16  # bytes of point records the loader reads at a time
 
 
 class ModelError(Exception):
@@ -162,7 +175,8 @@ class EmbeddingModel:
             blocks.append(_Block.of(shared_space or {}))
         elif spaces is not None or shared_space is not None:
             raise ModelError("single_space models store all points as influence")
-        self._assign(dimension, variant, coords, blocks, sources, _token_ids(tuple(tokens)))
+        self._assign(dimension, variant, coords, blocks, sources, _distinct(tokens))
+        self._token_ids  # a constructed model, like a loaded one, is indexed at once
         rows = np.concatenate([block.rows for block in blocks])
         if len(rows) and not (0 <= rows.min() and rows.max() < len(coords)):
             bad = rows[(rows < 0) | (rows >= len(coords))][0]
@@ -172,27 +186,38 @@ class EmbeddingModel:
             bad = int((owners != 1).argmax())
             raise ModelError(f"coordinate row {bad} belongs to {owners[bad]} points, not one")
 
-    def _assign(self, dimension, variant, coords, blocks, sources, token_ids):
+    def _assign(self, dimension, variant, coords, blocks, sources, tokens, token_ids=None):
         """Set the model's state from its point blocks in file order, the ids
-        of the sources owning `blocks[1:]` if independent, and its `{token:
-        id}` table. Other models serve every source from their last block."""
+        of the sources owning `blocks[1:]` if independent, and its distinct
+        tokens in id order, with their `{token: id}` index if already built.
+        Other models serve every source from their last block."""
         self.dimension = int(dimension)
         self.variant = variant
         self.coords = coords
         self._blocks: list[_Block] = blocks
         self._spaces: dict[int, _Block] = dict(zip(sources, blocks[1:]))
         self._serving: _Block | None = None if variant == "independent" else blocks[-1]
-        self.tokens = tuple(token_ids)
-        self._token_ids = token_ids
+        self.tokens = tuple(tokens)
+        if token_ids is not None:
+            self._token_ids = token_ids
 
     @classmethod
-    def _from_blocks(cls, dimension, variant, coords, blocks, sources,
-                     token_ids) -> EmbeddingModel:
+    def _from_blocks(cls, dimension, variant, coords, blocks, sources, tokens,
+                     token_ids=None) -> EmbeddingModel:
         """A model over blocks known to give each row to exactly one point,
-        with finite coordinates; it adopts `token_ids`, a `{token: id}` dict in id order."""
+        with finite coordinates and distinct `tokens`; it adopts `token_ids`,
+        their `{token: id}` index, when given."""
         model = cls.__new__(cls)
-        model._assign(dimension, variant, coords, blocks, sources, token_ids)
+        model._assign(dimension, variant, coords, blocks, sources, tokens, token_ids)
         return model
+
+    @cached_property
+    def _token_ids(self) -> dict[str, int]:
+        """The `{token: id}` index of the token table. The constructor
+        builds it at once and `load_model` as it checks the table; a model
+        from `init_model` builds it on its first lookup, since training and
+        saving never look a token up."""
+        return {tok: i for i, tok in enumerate(self.tokens)}
 
     def _space_block(self, source: int) -> _Block | None:
         return self._spaces.get(source, self._serving)
@@ -312,12 +337,13 @@ class EmbeddingModel:
         return self._state() == other._state()
 
 
-def _token_ids(tokens) -> dict[str, int]:
-    """The `{token: id}` table of a token sequence; a repeat raises ModelError."""
-    ids = {tok: i for i, tok in enumerate(tokens)}
-    if len(ids) != len(tokens):
+def _distinct(tokens) -> tuple[str, ...]:
+    """The tokens as a tuple, checked without keeping an index; a repeat
+    raises ModelError."""
+    tokens = tuple(tokens)
+    if len(set(tokens)) != len(tokens):
         raise ModelError("token table contains duplicate tokens")
-    return ids
+    return tokens
 
 
 def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
@@ -386,7 +412,7 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
     half = 0.5 / dim
     coords = rng.uniform(-half, half, size=(len(point), dim))
     return EmbeddingModel._from_blocks(dim, variant, coords, [influence, *blocks.values()],
-                                       owners, _token_ids(table.tokens or ()))
+                                       owners, _distinct(table.tokens or ()))
 
 
 # -- serialization ---------------------------------------------------------
@@ -441,37 +467,105 @@ def save_model(model: EmbeddingModel) -> bytearray:
     return out
 
 
-def _u32(data: bytes, offset: int) -> int:
-    """The u32 field at `offset`, or truncation reported there."""
-    if offset + 4 > len(data):
-        raise ModelFormatError("truncated model data", offset)
-    return _U32.unpack_from(data, offset)[0]
+def save_model_file(model: EmbeddingModel, path) -> None:
+    """Write the model atomically (temp file + rename)."""
+    _atomic_write(path, save_model(model))
 
 
-def _read_tokens(data: bytes, offset: int) -> tuple[dict[str, int], int]:
-    """Read the token table at `offset`, rejecting truncation, invalid UTF-8
-    and a repeated token, each at the offset of the first field it spoils;
-    returns the `{token: id}` table and the offset after it."""
-    count = _u32(data, offset)
-    offset += 4
-    size = len(data)
-    unpack = _U32.unpack_from
+class _BytesSource:
+    """Model bytes in memory, handed out in file order as views of them."""
+
+    def __init__(self, data):
+        self._data = memoryview(data)
+        self.size = len(self._data)
+        self.offset = 0  # of the next byte `peek` hands out
+
+    def peek(self, n: int) -> memoryview:
+        """The next `n` bytes, which the caller knows are within `size`."""
+        return self._data[self.offset : self.offset + n]
+
+    def skip(self, n: int):
+        self.offset += n
+
+
+class _FileSource:
+    """A model file handed out in file order through one window, at least
+    `_PIECE` bytes, that `readinto` refills. `size` is the file's size when
+    opened; a read that comes up short is truncation at the offset reached.
+    A view `peek` returns is good until the next `peek`, and `skip` passes
+    only over bytes a `peek` has handed out."""
+
+    def __init__(self, handle, size: int):
+        self._readinto = handle.readinto
+        self.size = size
+        self.offset = 0  # of the next byte `peek` hands out
+        self._window = memoryview(bytearray(_PIECE))
+        self._start = self._end = 0  # the bytes read ahead are window[start:end]
+
+    def peek(self, n: int) -> memoryview:
+        if self._end - self._start < n:
+            self._fill(n)
+        return self._window[self._start : self._start + n]
+
+    def skip(self, n: int):
+        self._start += n
+        self.offset += n
+
+    def _fill(self, n: int):
+        """Move the bytes read ahead to the window's front, in a larger
+        window if `n` do not fit, and read on until `n` bytes are held."""
+        held = self._end - self._start
+        window = self._window if n <= len(self._window) else memoryview(bytearray(n))
+        window[:held] = bytes(self._window[self._start : self._end])
+        while held < n:
+            got = self._readinto(window[held:])
+            if not got:
+                raise ModelFormatError("truncated model data", self.offset + held)
+            held += got
+        self._window, self._start, self._end = window, 0, held
+
+
+def _u32(source) -> int:
+    """The u32 field at the source's offset, or truncation reported there."""
+    if source.offset + 4 > source.size:
+        raise ModelFormatError("truncated model data", source.offset)
+    value = _U32.unpack(source.peek(4))[0]
+    source.skip(4)
+    return value
+
+
+def _read_tokens(source) -> dict[str, int]:
+    """Read the token table, rejecting truncation, invalid UTF-8 and a
+    repeated token, each at the offset of the first field it spoils; returns
+    the `{token: id}` table. Tokens are decoded from views of `_PIECE` bytes
+    or more at a time, each holding at least the next whole token."""
+    count = _u32(source)
+    size, unpack = source.size, _U32.unpack_from
     ids: dict[str, int] = {}
-    for i in range(count):
-        if offset + 4 > size:
-            raise ModelFormatError("truncated model data", offset)
-        start = offset + 4
-        end = start + unpack(data, offset)[0]
-        if end > size:
-            raise ModelFormatError("truncated model data", start)
-        try:
-            token = str(data[start:end], "utf-8")
-        except UnicodeDecodeError:
-            raise ModelFormatError("token is not valid UTF-8", start)
-        if ids.setdefault(token, i) != i:
-            raise ModelFormatError(f"token {token!r} repeats", offset)
-        offset = end
-    return ids, offset
+    i, need = 0, 4  # bytes the next token needs, as far as known
+    while i < count:
+        base = source.offset
+        if base + 4 > size:
+            raise ModelFormatError("truncated model data", base)
+        if base + need > size:  # the token's bytes, past its length
+            raise ModelFormatError("truncated model data", base + 4)
+        piece = source.peek(min(max(need, _PIECE), size - base))
+        at, end, need = 0, len(piece), 4
+        while i < count and at + 4 <= end:
+            start = at + 4
+            stop = start + unpack(piece, at)[0]
+            if stop > end:
+                need = stop - at
+                break
+            try:
+                token = str(piece[start:stop], "utf-8")
+            except UnicodeDecodeError:
+                raise ModelFormatError("token is not valid UTF-8", base + start)
+            if ids.setdefault(token, i) != i:
+                raise ModelFormatError(f"token {token!r} repeats", base + at)
+            at, i = stop, i + 1
+        source.skip(at)
+    return ids
 
 
 def _check_ids(ids: np.ndarray, start: int, record: int, id_limit: int | None):
@@ -492,87 +586,115 @@ def _check_ids(ids: np.ndarray, start: int, record: int, id_limit: int | None):
     raise ModelFormatError(f"id {user} is past the token table of {id_limit}", offset)
 
 
-def _read_points(data: bytes, offset: int, dim: int, id_limit: int | None,
-                 first_row: int) -> tuple[_Block, np.ndarray, int]:
-    """Read and check the point block at `offset` with one structured read,
-    numbering its rows from `first_row`; returns the block, its (count, dim)
-    coordinates and the offset after it."""
-    count = _u32(data, offset)
-    start = offset + 4
-    record = 4 + 8 * dim
-    fits = (len(data) - start) // record
-    if count > fits:
-        raise ModelFormatError("truncated model data", start + fits * record)
-    rows = np.arange(first_row, first_row + count, dtype=np.int64)
-    if not count:
-        return _Block(np.empty(0, dtype=np.int64), rows), np.empty((0, dim)), start
-    if record > np.iinfo(np.int32).max:
-        raise ModelFormatError(f"dimension {dim} is too large", 8)
-    points = np.frombuffer(data, dtype=_point_dtype(dim), count=count, offset=start)
-    ids = points["id"].astype(np.int64)
-    _check_ids(ids, start, record, id_limit)
-    coords = points["x"]
-    if not np.isfinite(coords).all():
-        # the first non-finite value in row-major order is the first in the file
-        point, col = divmod(int(np.flatnonzero(~np.isfinite(coords))[0]), dim)
-        raise ModelFormatError("coordinates must be finite", start + point * record + 4 + 8 * col)
-    return _Block(ids, rows), coords, start + count * record
+class _PointReader:
+    """Reads a model's point blocks into one coordinate array.
+
+    The array is allocated once, at the first point, with a row for each
+    record the bytes after the token table could hold, so its size is
+    bounded by the file's. Records are read `_PIECE` bytes at a time and
+    copied straight into their rows; rows are numbered in file order."""
+
+    def __init__(self, source, dim: int, id_limit: int | None):
+        self.source, self.dim, self.id_limit = source, dim, id_limit
+        self.record = 4 + 8 * dim
+        self.capacity = (source.size - source.offset) // self.record
+        self.coords: np.ndarray | None = None
+        self.rows = 0  # rows filled: the next block's first row
+
+    def read(self) -> _Block:
+        """Read and check the point block at the source's offset."""
+        source, dim, record = self.source, self.dim, self.record
+        count = _u32(source)
+        start = source.offset
+        fits = (source.size - start) // record
+        if count > fits:
+            raise ModelFormatError("truncated model data", start + fits * record)
+        if record > np.iinfo(np.int32).max:  # past numpy's largest record
+            raise ModelFormatError(f"dimension {dim} is too large", 8)
+        if count and self.coords is None:
+            self.coords = np.empty((self.capacity, dim))
+        first, ids = self.rows, np.empty(count, dtype=np.int64)
+        dtype, step = _point_dtype(dim), max(1, _PIECE // record)
+        bad = None  # the offset of the block's first non-finite coordinate
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            points = np.frombuffer(source.peek((hi - lo) * record), dtype=dtype)
+            source.skip((hi - lo) * record)
+            ids[lo:hi] = points["id"]
+            coords = self.coords[first + lo : first + hi]
+            coords[...] = points["x"]
+            if bad is None and not np.isfinite(coords).all():
+                # the first non-finite value in row-major order is the first in the file
+                point, col = divmod(int(np.flatnonzero(~np.isfinite(coords))[0]), dim)
+                bad = start + (lo + point) * record + 4 + 8 * col
+        if count:
+            _check_ids(ids, start, record, self.id_limit)
+        if bad is not None:
+            raise ModelFormatError("coordinates must be finite", bad)
+        self.rows += count
+        return _Block(ids, np.arange(first, self.rows, dtype=np.int64))
+
+    def coordinates(self) -> np.ndarray:
+        """The filled rows, a view of the array read into."""
+        return np.empty((0, self.dim)) if self.coords is None else self.coords[: self.rows]
 
 
-def load_model(data: bytes) -> EmbeddingModel:
-    """Parse model bytes (`bytes`, a `bytearray` or a byte `memoryview`,
-    read in place); raises ModelFormatError (with offset) on damage."""
-    if data[:4] != _MAGIC:
-        raise ModelFormatError("truncated model data" if len(data) < 4
-                               else f"bad magic, expected {_MAGIC!r}", 0)
-    version = _u32(data, 4)
+def _parse(source) -> EmbeddingModel:
+    """The model `source` holds, read field by field in file order; raises
+    ModelFormatError (with offset) on damage."""
+    if source.size < 4:
+        raise ModelFormatError("truncated model data", 0)
+    if source.peek(4) != _MAGIC:
+        raise ModelFormatError(f"bad magic, expected {_MAGIC!r}", 0)
+    source.skip(4)
+    version = _u32(source)
     if version != _VERSION:
         raise ModelFormatError(f"unsupported format version {version}", 4)
-    dim = _u32(data, 8)
+    dim = _u32(source)
     if dim < 1:
         raise ModelFormatError(f"dimension must be at least 1, got {dim}", 8)
-    if len(data) < 13:
+    if source.size < 13:
         raise ModelFormatError("truncated model data", 12)
-    tag = data[12]
+    tag = source.peek(1)[0]
+    source.skip(1)
     if tag >= len(VARIANTS):
         raise ModelFormatError(f"unknown variant tag {tag}", 12)
     variant = VARIANTS[tag]
-    tokens, offset = _read_tokens(data, 13)
+    tokens = _read_tokens(source)
     id_limit = len(tokens) if tokens else None
-    influence, view, offset = _read_points(data, offset, dim, id_limit, 0)
-    views = [view]  # each block's coordinates, in file order
-    rows = len(view)  # the next block's first row
-    blocks, sources = [influence], {}  # `sources` is an ordered set
+    points = _PointReader(source, dim, id_limit)
+    blocks, sources = [points.read()], {}  # `sources` is an ordered set
     if variant == "independent":
-        count, offset = _u32(data, offset), offset + 4
-        for _ in range(count):
-            source = _u32(data, offset)
-            if source in sources:
-                raise ModelFormatError(f"id {source} repeats within its block", offset)
-            if id_limit is not None and source >= id_limit:
-                raise ModelFormatError(
-                    f"id {source} is past the token table of {id_limit}", offset
-                )
-            sources[source] = None
-            block, view, offset = _read_points(data, offset + 4, dim, id_limit, rows)
-            blocks.append(block)
-            views.append(view)
-            rows += len(view)
+        for _ in range(_u32(source)):
+            offset = source.offset
+            owner = _u32(source)
+            if owner in sources:
+                raise ModelFormatError(f"id {owner} repeats within its block", offset)
+            if id_limit is not None and owner >= id_limit:
+                raise ModelFormatError(f"id {owner} is past the token table of {id_limit}",
+                                       offset)
+            sources[owner] = None
+            blocks.append(points.read())
     elif variant == "shared_susceptibility":
-        block, view, offset = _read_points(data, offset, dim, id_limit, rows)
-        blocks.append(block)
-        views.append(view)
-    if offset != len(data):
-        raise ModelFormatError("trailing bytes after model", offset)
-    coords = np.concatenate(views).astype(np.float64, copy=False)
-    return EmbeddingModel._from_blocks(dim, variant, coords, blocks, sources, tokens)
+        blocks.append(points.read())
+    if source.offset != source.size:
+        raise ModelFormatError("trailing bytes after model", source.offset)
+    return EmbeddingModel._from_blocks(dim, variant, points.coordinates(), blocks, sources,
+                                       tokens, tokens)
 
 
-def save_model_file(model: EmbeddingModel, path) -> None:
-    """Write the model atomically (temp file + rename)."""
-    _atomic_write(path, save_model(model))
+def load_model(data) -> EmbeddingModel:
+    """Parse model bytes (`bytes`, a `bytearray` or a byte `memoryview`,
+    read in place); raises ModelFormatError (with offset) on damage."""
+    return _parse(_BytesSource(data))
 
 
 def load_model_file(path) -> EmbeddingModel:
-    with open(path, "rb") as handle:
-        return load_model(handle.read())
+    """Read a model file as `load_model` reads its bytes, with the same
+    errors at the same offsets, but in pieces: no copy of the file is held.
+    A path that is not a regular file, such as a pipe, is read whole."""
+    with open(path, "rb", buffering=0) as handle:
+        info = os.fstat(handle.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return load_model(handle.readall())
+        return _parse(_FileSource(handle, info.st_size))

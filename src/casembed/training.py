@@ -31,9 +31,14 @@ susceptibility rows; `np.bincount` sums them by row over the P model
 points, and that dimension's step is applied to its column straight from
 the sum. Beside the coordinates its working set peaks at about N + S + 3A
 words while it finds the A active combinations, and at about 5S + 3P words
-while it scatters: O(N + A + S + P). `train` drops its table once the
-table is packed, so the epochs hold only the packed table's 3N + 4S words
-of indexes and margins.
+while it scatters: O(N + A + S + P). `train` drops its corpus once the
+table is built (after counting its triples for `TrainHistory.triples`) and
+its table once the table is packed, so the epochs hold only the packed
+table's 3N + 4S words of indexes and margins. The model it makes builds no
+`{token: id}` index, which training and saving never read. A caller that
+passes the corpus without keeping a name for it, as the `train` command
+does, frees it before the model is made. `TrainHistory.stages` records each
+stage's seconds and the process's peak RSS after it, for the manifest.
 
 Divergence raises ValueError naming the epoch. Every epoch checks the
 distances it starts from, and train and run_epoch check the coordinates the
@@ -52,6 +57,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import resource
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,16 +345,41 @@ def run_epoch(
     return stats
 
 
+class Stages(list):
+    """A command's stages, in order: one `{"stage", "seconds", "maxrss_mb"}`
+    record per stage, for its manifest. Each stage runs from the previous
+    `lap` (or the record's creation) to its own; `seconds` is its wall time
+    (`time.perf_counter`) and `maxrss_mb` the process's peak RSS so far
+    (`ru_maxrss`) when it ended, so the stage that raised the peak is the
+    one whose record shows it first."""
+
+    def __init__(self):
+        super().__init__()
+        self._since = time.perf_counter()
+
+    def lap(self, name: str, result=None):
+        """Record stage `name` as ending now; returns `result`, unkept."""
+        now = time.perf_counter()
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        self.append({"stage": name, "seconds": now - self._since, "maxrss_mb": peak})
+        self._since = now
+        return result
+
+
 class TrainHistory(list):
     """The `EpochStats` of a `train` run, in epoch order, plus the sizes of
-    the fit: `combinations` table entries touching `slots` slots. `saved`
-    holds the loss and active count of the model `train` returns, as the
-    next epoch would report them; it is None when no epoch ran."""
+    the fit: `triples` (earlier, later) pairs over the corpus's cascades,
+    merged into `combinations` table entries touching `slots` slots, and
+    the fit's `stages`. `saved` holds the loss and active count of the model
+    `train` returns, as the next epoch would report them; it is None when
+    no epoch ran."""
 
-    def __init__(self, combinations: int, slots: int):
+    def __init__(self, combinations: int, slots: int, triples: int, stages: Stages):
         super().__init__()
         self.combinations = combinations
         self.slots = slots
+        self.triples = triples
+        self.stages = stages
         self.saved: EpochStats | None = None
 
     @property
@@ -365,26 +397,40 @@ def train(
     Builds the combination table per config.sampling, initializes the model
     from config.seed, and descends for up to config.epochs epochs, stopping
     early once no combination is active (further epochs would be no-ops).
-    The history lists each epoch's stats and carries the table's entry count
-    (`combinations`) and slot count (`slots`), so callers need not build or
-    pack the table again, and the returned model's own stats (`saved`).
-    Deterministic for a fixed config. Raises ValueError, before any model
-    is made, when the table has no entries.
+    The history lists each epoch's stats and carries the corpus's triple
+    count (`triples`), the table's entry count (`combinations`) and slot
+    count (`slots`), so callers need not build or pack the table again, the
+    returned model's own stats (`saved`) and the time and peak RSS of each
+    stage (`stages`: build, init, pack, epochs, final_check). Deterministic
+    for a fixed config. Raises ValueError, before any model is made, when
+    the table has no entries.
+
+    `train` holds the corpus only until its table is built, and the table
+    only until it is packed; a caller that passes the corpus without keeping
+    it frees it before the model is made.
     """
+    stages = Stages()
     table = build_table(train_set, mu=config.mu, mode=config.sampling)
+    infected = np.diff(train_set.offsets) - 1
+    triples = int((infected * (infected - 1) // 2).sum())
+    del train_set, infected
+    stages.lap("build")
     if len(table) == 0:
         raise ValueError("the training set yields no training combinations: every cascade"
                          " has fewer than two infected users, or dominant sampling dropped"
                          " every pair (each seen as often in both orders)")
-    model = init_model(table, config, np.random.default_rng(config.seed))
+    model = stages.lap("init", init_model(table, config, np.random.default_rng(config.seed)))
     packed = _pack_table(model, table)
-    history = TrainHistory(len(table), len(packed.slot_x))
+    history = TrainHistory(len(table), len(packed.slot_x), triples, stages)
     del table  # the epochs read only `packed`, which keeps `avg_margin`
+    stages.lap("pack")
     for epoch in range(config.epochs):
         stats = _run_packed_epoch(model, packed, config.learning_rate, epoch)
         history.append(stats)
         if stats.active_count == 0:
             break
+    stages.lap("epochs")
     if history:
         history.saved = _check_final(model, packed, history[-1].epoch)
+    stages.lap("final_check")
     return model, history

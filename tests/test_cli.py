@@ -41,6 +41,17 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _check_stages(manifest, names):
+    """The manifest records `names`, in order, each with its seconds and the
+    process's peak RSS so far, outside the deterministic `stats`."""
+    stages = manifest["stages"]
+    assert [stage["stage"] for stage in stages] == names
+    assert all(stage["seconds"] >= 0 for stage in stages)
+    peaks = [stage["maxrss_mb"] for stage in stages]
+    assert peaks[0] > 0 and peaks == sorted(peaks)
+    assert "stages" not in manifest["stats"]
+
+
 @pytest.fixture()
 def corpus(tmp_path):
     assert run("synth", "--sources", 3, "--users-per-source", 8,
@@ -220,6 +231,34 @@ class TestTrain:
         lengths = [len(cascade.infected) for cascade in dataset]
         assert stats["triples"] == sum(n * (n - 1) // 2 for n in lengths)
         assert stats["triples"] >= stats["table_entries"] > 0
+
+    def test_corpus_is_released_before_the_first_epoch(self, corpus, tmp_path, monkeypatch):
+        """`train` holds no name for the corpus it reads, so the corpus is
+        freed once its table is built; `triples` comes from the history."""
+        corpora, alive = [], []
+        build, run_epoch = training.build_table, training._run_packed_epoch
+
+        def build_and_watch(dataset, **kwargs):
+            corpora.append(weakref.ref(dataset))
+            return build(dataset, **kwargs)
+
+        def epoch_and_look(*args):
+            alive.append(corpora[0]() is not None)
+            return run_epoch(*args)
+
+        monkeypatch.setattr(training, "build_table", build_and_watch)
+        monkeypatch.setattr(training, "_run_packed_epoch", epoch_and_look)
+        assert run("train", "--train", corpus, "--dim", 2, "--epochs", 2,
+                   "--model-out", tmp_path / "m.iaem") == 0
+        assert alive == [False, False]
+
+    def test_manifest_records_each_stage(self, corpus, tmp_path):
+        model_path = tmp_path / "m.iaem"
+        assert run("train", "--train", corpus, "--dim", 2, "--epochs", 3,
+                   "--model-out", model_path) == 0
+        manifest = json.loads(Path(f"{model_path}.manifest.json").read_text())
+        _check_stages(manifest, ["read", "build", "init", "pack", "epochs", "final_check",
+                                 "save"])
 
     def test_epochs_zero_equals_initialization(self, corpus, tmp_path):
         model_path = tmp_path / "init.iaem"
@@ -682,6 +721,13 @@ class TestEval:
             assert stats == {**{key: summary[key] for key in
                                 ("map", "cascades", "unknown_sources", "unseen")},
                              "chance_map": report.chance_map}
+
+    def test_manifest_records_each_stage(self, trained, tmp_path):
+        model_path, test_path = trained
+        out = tmp_path / "report.jsonl"
+        assert run("eval", "--model", model_path, "--test", test_path, "--out", out) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        _check_stages(manifest, ["load", "read", "evaluate", "render"])
 
     def test_report_to_stdout_without_out(self, trained, capsys):
         model_path, test_path = trained

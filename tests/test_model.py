@@ -1,6 +1,9 @@
 import hashlib
+import io
 import math
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from casembed.model import (
     save_model,
     save_model_file,
 )
+from casembed.model import _FileSource, _parse
 from casembed.synthetic import emit_cascades, generate_world
 
 
@@ -298,6 +302,36 @@ class TestSaveLoad:
         assert again == model
         assert peak < 1.75 * len(blob), peak / len(blob)
 
+    def test_file_load_holds_no_copy_of_the_file(self, tmp_path, traced):
+        """`load_model_file` reads the file in pieces into the coordinates:
+        its peak is what the model keeps (coordinates, ids, rows and its
+        4,002-token table, which `load_model` indexes as it checks it) plus
+        at most 256 KiB, where a copy of the 1.08 MB file would not fit."""
+        world = generate_world(2, 2000, 32, seed=1)
+        path = tmp_path / "world.iaem"
+        save_model_file(world, path)
+        model, kept, peak = traced(load_model_file, path)
+        assert model == world
+        arrays = model.coords.nbytes + sum(b.ids.nbytes + b.rows.nbytes for b in model._blocks)
+        assert arrays <= kept < arrays + 512 * 1024
+        assert peak <= kept + 256 * 1024, (peak - kept) / 1024
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_file_load_reads_a_pipe_whole(self, tmp_path):
+        """A pipe has no size to read against, so it is read whole first."""
+        model = generate_world(3, 4, 2, seed=2)
+        fifo = tmp_path / "m.iaem"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(save_model(model),),
+                                  daemon=True)
+        writer.start()
+        try:
+            again = load_model_file(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert again == model and again.tokens == model.tokens
+        assert not writer.is_alive()
+
     @pytest.mark.parametrize("wrap", [bytearray, memoryview])
     def test_round_trip_from_any_byte_buffer(self, wrap):
         model = generate_world(3, 4, 2, seed=2)
@@ -529,6 +563,76 @@ class TestModelFileProperties:
             assert save_model(loaded) == bytes(damaged)
 
 
+def _loads_alike(data: bytes, path):
+    """`load_model_file` on a file of `data` loads a model equal to
+    `load_model(data)`'s, or raises its message at its offset; returns the
+    error, if any."""
+    path.write_bytes(data)
+    try:
+        expected = load_model(data)
+    except ModelFormatError as error:
+        with pytest.raises(ModelFormatError) as got:
+            load_model_file(path)
+        assert (str(got.value), got.value.offset) == (str(error), error.offset)
+        return error
+    loaded = load_model_file(path)
+    assert loaded == expected and loaded.tokens == expected.tokens
+    return None
+
+
+@settings(max_examples=40)
+@given(model=_models(), mask=st.integers(1, 255))
+def test_file_loads_as_its_bytes_load(tmp_path_factory, model, mask):
+    """Every truncation and every byte overwrite: one parser reads both."""
+    path = tmp_path_factory.mktemp("differential") / "m.iaem"
+    blob = bytes(save_model(model))
+    for cut in range(len(blob) + 1):
+        _loads_alike(blob[:cut], path)
+    for at in range(len(blob)):
+        damaged = bytearray(blob)
+        damaged[at] ^= mask
+        _loads_alike(bytes(damaged), path)
+
+
+class TestFileInPieces:
+    """A file is read through a 64 KiB window: a token longer than the
+    window, and blocks of many pieces, load as their bytes do."""
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        points = 3000  # 44-byte records: about 1,500 per piece
+        tokens = ("x" * 70_000, *(f"u{k}" for k in range(1, points)))
+        coords = np.random.default_rng(3).standard_normal((points, 5))
+        model = EmbeddingModel(5, "single_space", coords, {k: k for k in range(points)},
+                               tokens=tokens)
+        return bytes(save_model(model))
+
+    def test_damage_anywhere_is_reported_alike(self, blob, tmp_path):
+        path = tmp_path / "m.iaem"
+        first = len(blob) - 44 * 3000  # the first point, past the tokens and the count
+        last = len(blob) - 44  # the last point
+        middle = first + 44 * 1600 + 12  # point 1600's second coordinate
+        assert _loads_alike(blob, path) is None
+        for cut in (20, 17 + 4 + 65_536, first - 1, first + 44 * 1489 + 7, len(blob) - 1):
+            assert _loads_alike(blob[:cut], path).offset <= cut
+        past, nan = struct.pack("<I", 2**31), struct.pack("<d", math.nan)
+        # within a block, ids are checked before coordinates
+        for damage, offset in [([(last, past)], last), ([(last + 4, nan)], last + 4),
+                               ([(middle, nan), (last + 4, nan)], middle),
+                               ([(middle, nan), (last, past)], last)]:
+            damaged = bytearray(blob)
+            for at, data in damage:
+                damaged[at : at + len(data)] = data
+            assert _loads_alike(bytes(damaged), path).offset == offset
+
+    def test_short_read_is_truncation_at_the_offset_reached(self, blob):
+        """A file that ends before the size it had when opened."""
+        for cut in (0, 15, 17 + 4 + 65_536, len(blob) - 44 * 1500, len(blob) - 1):
+            with pytest.raises(ModelFormatError, match="truncated") as err:
+                _parse(_FileSource(io.BytesIO(blob[:cut]), len(blob)))
+            assert err.value.offset == cut
+
+
 @settings(max_examples=200)
 @given(model=_models(past_tokens=2))
 def test_every_model_save_accepts_loads_back(model):
@@ -622,6 +726,26 @@ class TestDimensionField:
             load_model(blob)
         # header, empty token table, influence count: the first point
         assert err.value.offset == 13 + 4 + 4
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["bytes", "file"])
+    def test_hostile_dimension_without_points_allocates_nothing_for_it(
+        self, from_file, tmp_path, traced_peak
+    ):
+        """dim = 2**28 makes a point record of over 2 GiB; a file holding no
+        point is refused at the dimension, with nothing sized by it made."""
+        blob = self._blob(2**28, points=0)
+        assert len(blob) < 100
+        path = tmp_path / "m.iaem"
+        path.write_bytes(blob)
+
+        def refused():
+            with pytest.raises(ModelFormatError, match="dimension 268435456 is too large") as err:
+                load_model_file(path) if from_file else load_model(blob)
+            return err.value
+
+        error, peak = traced_peak(refused)
+        assert error.offset == 8
+        assert peak < 1 << 17  # the file's 64 KiB window at most
 
     def test_count_past_the_remaining_bytes_is_truncation(self):
         model = EmbeddingModel(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from casembed import training
 from casembed.combinations import ENTRY, Combination, CombinationTable, build_table
-from casembed.data import CascadeDataset
+from casembed.data import CascadeDataset, load_cascade_file, save_cascade_file
 from casembed.model import VARIANTS, EmbeddingModel, ModelError, init_model, save_model
 from casembed.synthetic import emit_cascades, generate_world
 from casembed.training import (
@@ -632,6 +632,47 @@ class TestTrain:
         _, history = train(self._dataset(), TrainConfig(epochs=3, dimension=4, seed=5))
         assert len(built) == 1
         assert epochs == [0, 1, 2] == [stats.epoch for stats in history]
+
+    def test_corpus_is_released_before_the_first_epoch(self, monkeypatch, tmp_path):
+        # a corpus handed over without a name holding it is freed once its
+        # table is built: nothing of it lives through init, pack or epochs
+        path = tmp_path / "train.cascades"
+        save_cascade_file(self._dataset(), path)
+        corpora, alive = [], []
+        build, run = training.build_table, training._run_packed_epoch
+
+        def build_and_watch(dataset, **kwargs):
+            corpora.append(weakref.ref(dataset))
+            return build(dataset, **kwargs)
+
+        def run_and_look(*args):
+            alive.append(corpora[0]() is not None)
+            return run(*args)
+
+        monkeypatch.setattr(training, "build_table", build_and_watch)
+        monkeypatch.setattr(training, "_run_packed_epoch", run_and_look)
+        _, history = train(load_cascade_file(path), TrainConfig(epochs=2, dimension=3, seed=5))
+        assert alive == [False, False] and len(history) == 2
+
+    def test_history_counts_the_triples_and_records_the_stages(self):
+        dataset = self._dataset()
+        _, history = train(dataset, TrainConfig(epochs=2, dimension=3, seed=5))
+        assert history.triples == sum(c.num_infected * (c.num_infected - 1) // 2
+                                      for c in dataset)
+        assert history.triples >= history.combinations > 0
+        assert [stage["stage"] for stage in history.stages] == [
+            "build", "init", "pack", "epochs", "final_check"]
+        assert all(stage["seconds"] >= 0 and stage["maxrss_mb"] > 0
+                   for stage in history.stages)
+
+    def test_token_index_is_built_on_the_first_lookup(self):
+        dataset = self._dataset()
+        model, _ = train(dataset, TrainConfig(epochs=1, dimension=3, seed=5))
+        assert model.tokens and "_token_ids" not in vars(model)
+        save_model(model)
+        assert "_token_ids" not in vars(model)  # saving looks no token up
+        assert [model.user_id(token) for token in model.tokens] == list(range(len(model.tokens)))
+        assert "_token_ids" in vars(model) and model.user_id("no such token") is None
 
     @pytest.mark.parametrize("rows", [
         [("c0", ["a", "b"])],  # no pairs
