@@ -47,17 +47,22 @@ first in file order is reported, except that within a point block a bad id
 is reported before a non-finite coordinate.
 
 One parser serves `load_model` and `load_model_file`, so the same bytes
-load alike or fail alike. It reads through a source: views of the bytes in
-memory, or a file's 64 KiB window that `readinto` refills. It copies point
-records a piece of about 64 KiB at a time into one coordinate array,
-allocated once with a row for each record the bytes after the token table
-could hold; nothing is sized by a header field alone, and no copy of the
-file is held. A model keeps its `{token: id}` index beside its token tuple;
-`init_model` leaves it to be built on the first lookup (`user_id`).
+load alike or fail alike. It reads a buffered binary stream of a known
+size: the file, opened with a 64 KiB buffer, or the bytes in memory behind
+a raw stream that copies out of them as the buffer refills. Each read is
+checked against the size before it is made, and one that comes up short is
+truncation at the offset reached. Point records are read a piece of about
+64 KiB at a time into one coordinate array, allocated once with a row for
+each record the bytes after the token table could hold; nothing is sized by
+a header field alone, and no copy of the file is held, so the loader needs
+the buffer and one piece beside what the model keeps. A model keeps its
+`{token: id}` index beside its token tuple; `init_model` leaves it to be
+built on the first lookup (`user_id`).
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
@@ -89,7 +94,7 @@ _VARIANT_TAGS = {name: tag for tag, name in enumerate(VARIANTS)}
 _MAGIC = b"IAEM"
 _VERSION = 1
 _U32 = struct.Struct("<I")
-_PIECE = 1 << 16  # bytes of point records the loader reads at a time
+_PIECE = 1 << 16  # the loader's buffer, and the bytes of point records it reads at a time
 
 
 class ModelError(Exception):
@@ -472,99 +477,78 @@ def save_model_file(model: EmbeddingModel, path) -> None:
     _atomic_write(path, save_model(model))
 
 
-class _BytesSource:
-    """Model bytes in memory, handed out in file order as views of them."""
+class _InPlace(io.RawIOBase):
+    """Bytes in memory as a raw stream that copies out of them a read at a
+    time, so no copy of them is made first."""
 
-    def __init__(self, data):
-        self._data = memoryview(data)
-        self.size = len(self._data)
-        self.offset = 0  # of the next byte `peek` hands out
+    def __init__(self, data: memoryview):
+        self._data, self._offset = data, 0
 
-    def peek(self, n: int) -> memoryview:
-        """The next `n` bytes, which the caller knows are within `size`."""
-        return self._data[self.offset : self.offset + n]
+    def readable(self) -> bool:
+        return True
 
-    def skip(self, n: int):
-        self.offset += n
-
-
-class _FileSource:
-    """A model file handed out in file order through one window, at least
-    `_PIECE` bytes, that `readinto` refills. `size` is the file's size when
-    opened; a read that comes up short is truncation at the offset reached.
-    A view `peek` returns is good until the next `peek`, and `skip` passes
-    only over bytes a `peek` has handed out."""
-
-    def __init__(self, handle, size: int):
-        self._readinto = handle.readinto
-        self.size = size
-        self.offset = 0  # of the next byte `peek` hands out
-        self._window = memoryview(bytearray(_PIECE))
-        self._start = self._end = 0  # the bytes read ahead are window[start:end]
-
-    def peek(self, n: int) -> memoryview:
-        if self._end - self._start < n:
-            self._fill(n)
-        return self._window[self._start : self._start + n]
-
-    def skip(self, n: int):
-        self._start += n
-        self.offset += n
-
-    def _fill(self, n: int):
-        """Move the bytes read ahead to the window's front, in a larger
-        window if `n` do not fit, and read on until `n` bytes are held."""
-        held = self._end - self._start
-        window = self._window if n <= len(self._window) else memoryview(bytearray(n))
-        window[:held] = bytes(self._window[self._start : self._end])
-        while held < n:
-            got = self._readinto(window[held:])
-            if not got:
-                raise ModelFormatError("truncated model data", self.offset + held)
-            held += got
-        self._window, self._start, self._end = window, 0, held
+    def readinto(self, out) -> int:
+        piece = self._data[self._offset : self._offset + len(out)]
+        out[: len(piece)] = piece
+        self._offset += len(piece)
+        return len(piece)
 
 
-def _u32(source) -> int:
+class _Source:
+    """A buffered binary stream read in file order against its `size`: no
+    read passes `size`, and a read that comes up short is truncation at the
+    offset reached."""
+
+    def __init__(self, stream, size: int):
+        self.stream, self.size = stream, size
+        self.offset = 0  # of the next byte `read` returns
+
+    def read(self, n: int) -> bytes:
+        """The next `n` bytes, or truncation at the offset if they pass `size`."""
+        if self.offset + n > self.size:
+            raise ModelFormatError("truncated model data", self.offset)
+        data = self.stream.read(n)
+        self.offset += len(data)
+        if len(data) < n:
+            raise ModelFormatError("truncated model data", self.offset)
+        return data
+
+
+def _u32(source: _Source) -> int:
     """The u32 field at the source's offset, or truncation reported there."""
-    if source.offset + 4 > source.size:
-        raise ModelFormatError("truncated model data", source.offset)
-    value = _U32.unpack(source.peek(4))[0]
-    source.skip(4)
-    return value
+    return _U32.unpack(source.read(4))[0]
 
 
-def _read_tokens(source) -> dict[str, int]:
+def _read_tokens(source: _Source) -> dict[str, int]:
     """Read the token table, rejecting truncation, invalid UTF-8 and a
     repeated token, each at the offset of the first field it spoils; returns
-    the `{token: id}` table. Tokens are decoded from views of `_PIECE` bytes
-    or more at a time, each holding at least the next whole token."""
+    the `{token: id}` table. Each length field and each token is one call of
+    the stream's own `read`, checked as `_Source.read` checks its reads."""
     count = _u32(source)
-    size, unpack = source.size, _U32.unpack_from
+    read, size, unpack = source.stream.read, source.size, _U32.unpack
     ids: dict[str, int] = {}
-    i, need = 0, 4  # bytes the next token needs, as far as known
-    while i < count:
-        base = source.offset
-        if base + 4 > size:
-            raise ModelFormatError("truncated model data", base)
-        if base + need > size:  # the token's bytes, past its length
-            raise ModelFormatError("truncated model data", base + 4)
-        piece = source.peek(min(max(need, _PIECE), size - base))
-        at, end, need = 0, len(piece), 4
-        while i < count and at + 4 <= end:
-            start = at + 4
-            stop = start + unpack(piece, at)[0]
-            if stop > end:
-                need = stop - at
-                break
-            try:
-                token = str(piece[start:stop], "utf-8")
-            except UnicodeDecodeError:
-                raise ModelFormatError("token is not valid UTF-8", base + start)
-            if ids.setdefault(token, i) != i:
-                raise ModelFormatError(f"token {token!r} repeats", base + at)
-            at, i = stop, i + 1
-        source.skip(at)
+    at = source.offset  # of the next token's length field
+    for i in range(count):
+        if at + 4 > size:
+            raise ModelFormatError("truncated model data", at)
+        field = read(4)
+        if len(field) < 4:
+            raise ModelFormatError("truncated model data", at + len(field))
+        start = at + 4
+        stop = start + unpack(field)[0]
+        if stop > size:
+            raise ModelFormatError("truncated model data", start)
+        data = read(stop - start)
+        if len(data) < stop - start:
+            raise ModelFormatError("truncated model data", start + len(data))
+        try:
+            token = str(data, "utf-8")
+        except UnicodeDecodeError:
+            raise ModelFormatError("token is not valid UTF-8", start)
+        if ids.setdefault(token, i) != i:
+            raise ModelFormatError(f"token {token!r} repeats", at)
+        at = stop
+    source.offset = at
     return ids
 
 
@@ -594,7 +578,7 @@ class _PointReader:
     bounded by the file's. Records are read `_PIECE` bytes at a time and
     copied straight into their rows; rows are numbered in file order."""
 
-    def __init__(self, source, dim: int, id_limit: int | None):
+    def __init__(self, source: _Source, dim: int, id_limit: int | None):
         self.source, self.dim, self.id_limit = source, dim, id_limit
         self.record = 4 + 8 * dim
         self.capacity = (source.size - source.offset) // self.record
@@ -618,8 +602,7 @@ class _PointReader:
         bad = None  # the offset of the block's first non-finite coordinate
         for lo in range(0, count, step):
             hi = min(lo + step, count)
-            points = np.frombuffer(source.peek((hi - lo) * record), dtype=dtype)
-            source.skip((hi - lo) * record)
+            points = np.frombuffer(source.read((hi - lo) * record), dtype=dtype)
             ids[lo:hi] = points["id"]
             coords = self.coords[first + lo : first + hi]
             coords[...] = points["x"]
@@ -639,24 +622,20 @@ class _PointReader:
         return np.empty((0, self.dim)) if self.coords is None else self.coords[: self.rows]
 
 
-def _parse(source) -> EmbeddingModel:
-    """The model `source` holds, read field by field in file order; raises
-    ModelFormatError (with offset) on damage."""
-    if source.size < 4:
-        raise ModelFormatError("truncated model data", 0)
-    if source.peek(4) != _MAGIC:
+def _parse(stream, size: int) -> EmbeddingModel:
+    """The model in the `size` bytes the buffered binary `stream` holds,
+    read field by field in file order; raises ModelFormatError (with
+    offset) on damage."""
+    source = _Source(stream, size)
+    if source.read(4) != _MAGIC:
         raise ModelFormatError(f"bad magic, expected {_MAGIC!r}", 0)
-    source.skip(4)
     version = _u32(source)
     if version != _VERSION:
         raise ModelFormatError(f"unsupported format version {version}", 4)
     dim = _u32(source)
     if dim < 1:
         raise ModelFormatError(f"dimension must be at least 1, got {dim}", 8)
-    if source.size < 13:
-        raise ModelFormatError("truncated model data", 12)
-    tag = source.peek(1)[0]
-    source.skip(1)
+    tag = source.read(1)[0]
     if tag >= len(VARIANTS):
         raise ModelFormatError(f"unknown variant tag {tag}", 12)
     variant = VARIANTS[tag]
@@ -686,15 +665,16 @@ def _parse(source) -> EmbeddingModel:
 def load_model(data) -> EmbeddingModel:
     """Parse model bytes (`bytes`, a `bytearray` or a byte `memoryview`,
     read in place); raises ModelFormatError (with offset) on damage."""
-    return _parse(_BytesSource(data))
+    data = memoryview(data).cast("B")
+    return _parse(io.BufferedReader(_InPlace(data), _PIECE), len(data))
 
 
 def load_model_file(path) -> EmbeddingModel:
     """Read a model file as `load_model` reads its bytes, with the same
     errors at the same offsets, but in pieces: no copy of the file is held.
     A path that is not a regular file, such as a pipe, is read whole."""
-    with open(path, "rb", buffering=0) as handle:
-        info = os.fstat(handle.fileno())
+    with open(path, "rb", buffering=_PIECE) as stream:
+        info = os.fstat(stream.fileno())
         if not stat.S_ISREG(info.st_mode):
-            return load_model(handle.readall())
-        return _parse(_FileSource(handle, info.st_size))
+            return load_model(stream.read())
+        return _parse(stream, info.st_size)

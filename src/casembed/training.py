@@ -34,7 +34,7 @@ words while it finds the A active combinations, and at about 5S + 3P words
 while it scatters: O(N + A + S + P). `train` drops its corpus once the
 table is built (after counting its triples for `TrainHistory.triples`) and
 its table once the table is packed, so the epochs hold only the packed
-table's 3N + 4S words of indexes and margins. The model it makes builds no
+table's 3N + 2S words of indexes and margins. The model it makes builds no
 `{token: id}` index, which training and saving never read. A caller that
 passes the corpus without keeping a name for it, as the `train` command
 does, frees it before the model is made. `TrainHistory.stages` records each
@@ -176,25 +176,31 @@ def accumulate_gradients(model: EmbeddingModel, combo: Combination):
 class _PackedTable:
     """Combination table resolved to the slots of one model.
 
-    Built from the table's pair numbering, in its row order. Slot k pairs
-    influence row `slot_x[k]` with susceptibility row `slot_y[k]`;
-    combination n reads the distances of slots `earlier_slot[n]` and
-    `later_slot[n]`; `margins` is the table's `avg_margin` column. Slots
-    are sorted by (`slot_x`, `slot_y`), which fixes the order in which
-    gradients accumulate. `rows` lists the influence rows of all slots,
-    then their susceptibility rows: the epoch scatters each dimension's
-    gradients through it. Nothing here grows with the dimension. At squared
-    distances of `distance_limit` or more, float64 rounding in a gap
-    reaches the smallest margin.
+    Built from the table's pair numbering, in its row order. `rows` lists
+    the influence rows of all slots, then their susceptibility rows: the
+    epoch scatters each dimension's gradients through it. Slot k pairs
+    influence row `slot_x[k]` with susceptibility row `slot_y[k]`, read-only
+    views of the two halves of `rows`; combination n reads the distances of
+    slots `earlier_slot[n]` and `later_slot[n]`; `margins` is the table's
+    `avg_margin` column. Slots are sorted by (`slot_x`, `slot_y`), which
+    fixes the order in which gradients accumulate. Nothing here grows with
+    the dimension. At squared distances of `distance_limit` or more,
+    float64 rounding in a gap reaches the smallest margin.
     """
 
-    slot_x: np.ndarray
-    slot_y: np.ndarray
     earlier_slot: np.ndarray
     later_slot: np.ndarray
     margins: np.ndarray
     rows: np.ndarray
     distance_limit: float
+
+    @property
+    def slot_x(self) -> np.ndarray:
+        return self.rows[: len(self.rows) // 2]
+
+    @property
+    def slot_y(self) -> np.ndarray:
+        return self.rows[len(self.rows) // 2 :]
 
 
 def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
@@ -214,14 +220,13 @@ def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
         raise ModelError(f"combination {key} has unallocated coordinates")
     margins = table.avg_margin
     slot, slot_of_pair = _distinct_rows(x, y)
-    slot_x, slot_y = x[slot], y[slot]
+    rows = np.concatenate([x[slot], y[slot]])
+    rows.flags.writeable = False
     return _PackedTable(
-        slot_x,
-        slot_y,
         slot_of_pair[table.earlier_pair],
         slot_of_pair[table.later_pair],
         margins,
-        np.concatenate([slot_x, slot_y]),
+        rows,
         float(margins.min(initial=np.inf) / np.finfo(np.float64).eps),
     )
 
@@ -234,13 +239,14 @@ def _slot_distances(coords: np.ndarray, packed: _PackedTable) -> np.ndarray:
     row's reduction does not depend on its neighbours, so every chunking
     gives the one-gather result bit for bit.
     """
-    slots, dimension = len(packed.slot_x), coords.shape[1]
+    slot_x, slot_y, dimension = packed.slot_x, packed.slot_y, coords.shape[1]
+    slots = len(slot_x)
     d2 = np.empty(slots)
     chunk = max(1, -(-slots // dimension))
     for start in range(0, slots, chunk):
         stop = start + chunk
-        diff = coords.take(packed.slot_x[start:stop], axis=0)
-        diff -= coords.take(packed.slot_y[start:stop], axis=0)
+        diff = coords.take(slot_x[start:stop], axis=0)
+        diff -= coords.take(slot_y[start:stop], axis=0)
         np.einsum("ij,ij->i", diff, diff, out=d2[start:stop])
     return d2
 

@@ -110,6 +110,11 @@ class TestAveragePrecision:
         with pytest.raises(ValueError, match="source"):
             average_precision(pred, Cascade("t", (5, 1, 2)))
 
+    def test_empty_truth_refused(self):
+        # no `Cascade` has zero infected users, so only a direct call gets here
+        with pytest.raises(ValueError, match="no infected users"):
+            _prefix_ap([1, 2], set(), 0)
+
     def test_matches_prefix_enumeration_oracle(self):
         rng = np.random.default_rng(83)
         for _ in range(100):

@@ -24,7 +24,7 @@ from casembed.model import (
     save_model,
     save_model_file,
 )
-from casembed.model import _FileSource, _parse
+from casembed.model import _parse
 from casembed.synthetic import emit_cascades, generate_world
 
 
@@ -626,11 +626,19 @@ class TestFileInPieces:
             assert _loads_alike(bytes(damaged), path).offset == offset
 
     def test_short_read_is_truncation_at_the_offset_reached(self, blob):
-        """A file that ends before the size it had when opened."""
-        for cut in (0, 15, 17 + 4 + 65_536, len(blob) - 44 * 1500, len(blob) - 1):
-            with pytest.raises(ModelFormatError, match="truncated") as err:
-                _parse(_FileSource(io.BytesIO(blob[:cut]), len(blob)))
-            assert err.value.offset == cut
+        """A file that ends before the size it had when opened, cut inside
+        each kind of field: the token count, a token's length, a token,
+        point records and an independent model's source id."""
+        independent = bytes(save_model(EmbeddingModel(
+            2, "independent", np.zeros((2, 2)), {0: 0}, spaces={0: {1: 1}})))
+        source = 13 + 4 + 4 + 20 + 4  # header, token count, one influence point, source count
+        for data, cuts in [(blob, (0, 15, 17 + 4 + 65_536, 17 + 4 + 70_000 + 2,
+                                   len(blob) - 44 * 1500, len(blob) - 1)),
+                           (independent, (source + 2,))]:
+            for cut in cuts:
+                with pytest.raises(ModelFormatError, match="truncated") as err:
+                    _parse(io.BytesIO(data[:cut]), len(data))
+                assert err.value.offset == cut
 
 
 @settings(max_examples=200)

@@ -324,7 +324,7 @@ class TestRunEpoch:
         # every chunking must give the one-gather result bit for bit
         slot_x, slot_y = rng.integers(0, len(coords), size=(2, slots))
         empty = np.empty(0, dtype=np.int64)
-        packed = _PackedTable(slot_x, slot_y, empty, empty, np.empty(0), empty, np.inf)
+        packed = _PackedTable(empty, empty, np.empty(0), np.concatenate([slot_x, slot_y]), np.inf)
         d2 = _slot_distances(coords, packed)
         expected = np.array(coords)[slot_x] - np.array(coords)[slot_y]
         assert d2.shape == (slots,)
