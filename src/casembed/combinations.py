@@ -24,14 +24,18 @@ skips that sort.
 
 `build_table` reads a dataset's columns: each triple's positions come from
 the cascade offsets and a catalogue of ordered pairs per cascade length,
-with no loop over cascades. It merges the T triples by sorting one int64
-per triple once, in place: the triple's unordered pair key, an orientation
-bit and its position, packed together. Runs of the sort give each entry's
-first occurrence, count and margin sum; the two orientations of a pair
-are neighbouring runs; and a scan over the T positions restores
-first-occurrence order. Nothing else of length T is sorted or searched,
-and the build's peak working set, the returned table included, is at most
-about seven int64 words per triple.
+with no loop over cascades. Triples of different sources never merge, so
+it merges the sources a group at a time: runs of whole sources, in id
+order, of at most `_GROUP_TRIPLES` triples each (a source holding more is
+a group alone). A group's triples are merged by sorting one int64 per
+triple once, in place: the triple's unordered pair key, an orientation bit
+and its position, packed together. Runs of the sort give each entry's
+first occurrence, count and margin sum, and the two orientations of a pair
+are neighbouring runs. One sort of the N entries' first positions then
+restores first-occurrence order across groups. No array is as long as
+the T triples unless one group holds them all: the build's peak working
+set is the returned table and two more int64 words per entry, plus about
+five words per triple of the largest group and a few per cascade position.
 """
 
 from __future__ import annotations
@@ -126,6 +130,31 @@ def _distinct_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     at = np.empty(len(order), dtype=np.intp)
     at[order] = np.cumsum(new) - 1
     return order[new], at
+
+
+def _join(point_a, point_b, point_rows, a, b) -> np.ndarray:
+    """The row of each query (a[i], b[i]) among the distinct points
+    (point_a[k], point_b[k]) holding rows `point_rows`, or -1 where no point
+    matches. Each column is replaced by its rank among the points' values,
+    so a point's key packs into one int64 whatever its ids; only the points
+    are sorted, and the queries are found by binary search."""
+    row = np.full(len(a), -1, dtype=np.int64)
+    if not len(point_a):
+        return row
+    key = query = 0
+    found = np.ones(len(a), dtype=bool)
+    for column, asked in ((point_a, a), (point_b, b)):
+        values, rank = np.unique(column, return_inverse=True)
+        at = np.searchsorted(values, asked).clip(max=len(values) - 1)
+        found &= values[at] == asked
+        key = key * len(values) + rank
+        query = query * len(values) + at
+    order = np.argsort(key)
+    key = key[order]
+    at = np.searchsorted(key, query).clip(max=len(key) - 1)
+    found &= key[at] == query
+    row[found] = point_rows[order[at[found]]]
+    return row
 
 
 class CombinationTable:
@@ -274,52 +303,15 @@ def _sorted_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered, key
 
 
-def build_table(
-    dataset: CascadeDataset, mu: float = 2.0, mode: str = "dominant"
-) -> CombinationTable:
-    """Aggregate triples over a dataset, merging duplicate keys.
+# Triples `build_table` merges at a time: it merges runs of whole sources of
+# at most this many triples, and a source with more alone.
+_GROUP_TRIPLES = 1 << 18
 
-    A merged entry's count is the number of contributing cascades and its
-    avg_margin the arithmetic mean of the per-cascade margins. Merging
-    happens before dominance filtering, so dominance compares merged counts.
-    Entries keep the order in which their keys first occur, and margins are
-    summed in cascade order.
 
-    Triples come in cascade order, each cascade's pairs in `np.triu_indices`
-    order, gathered from the dataset's offsets and a catalogue of the
-    ordered pairs and margins of each distinct cascade length.
-
-    The T triples are merged by one in-place sort of one int64 per triple
-    (see `_sorted_runs`): the unordered key of the triple's two (source,
-    user) pairs, then an orientation bit, then the triple's position. A run
-    of equal keys is one entry, led by its first occurrence; the two
-    orientations of a pair are adjacent runs, which is all dominance needs;
-    and a mark-and-scan over the T positions restores first-occurrence
-    order. Each T-length array is freed once used and buffers are updated
-    in place, so at most about six T-length arrays are alive at once, and
-    the peak, the returned table's four N-length columns included, stays
-    under about seven int64 words per triple.
-    """
-    _check_mu(mu)
-    tokens = dataset.tokens
-    flat, offsets = dataset.flat_users, dataset.offsets
-    infected = np.diff(offsets) - 1
-    per_cascade = infected * (infected - 1) // 2
-    triples = int(per_cascade.sum())
-    if not triples:
-        return CombinationTable([], mode=mode, tokens=tokens)
-    # Number each position's (source, user) pair densely, in (source, user)
-    # order, so that a triple's key fits in int64.
-    starts = offsets[:-1]
-    cascade_source = np.repeat(flat[starts], infected + 1)
-    first, pair = _distinct_rows(cascade_source, flat)
-    pair_source, pair_user = cascade_source[first], flat[first]
-    pair_count = len(first)
-    del cascade_source, first
-    # One catalogue of every ordered pair of infected positions, with its
-    # margin, per distinct cascade length: length n's pairs start at base[n].
-    # (a set: a plain np.unique would import numpy.ma, about 1 MB of start-up)
-    lengths = sorted(set(infected[per_cascade > 0].tolist()))
+def _catalogue(lengths: list[int], mu: float) -> tuple[np.ndarray, ...]:
+    """Every ordered pair of infected positions, with its margin, for each
+    cascade length of `lengths` (ascending): (base, earlier, later, margin),
+    length n's pairs starting at row base[n]."""
     sizes = [n * (n - 1) // 2 for n in lengths]
     base = np.zeros(lengths[-1] + 1, dtype=np.int64)
     base[lengths] = np.cumsum(sizes) - sizes
@@ -329,15 +321,52 @@ def build_table(
         pairs = zip(earlier.tolist(), later.tolist())
         margins = [critical_margin(i + 1, j + 1, mu) for i, j in pairs]
         catalogue.append((earlier, later, np.array(margins, dtype=np.float64)))
-    catalogue_earlier, catalogue_later, catalogue_margins = (
-        np.concatenate(column) for column in zip(*catalogue)
-    )
+    return (base, *(np.concatenate(column) for column in zip(*catalogue)))
+
+
+def _source_groups(cascades: np.ndarray, source: np.ndarray,
+                   per_cascade: np.ndarray) -> Iterator[np.ndarray]:
+    """`cascades`, ordered by their `source`, cut into runs of whole
+    sources of at most `_GROUP_TRIPLES` triples each, or of one source
+    holding more."""
+    cut = np.flatnonzero(np.diff(source[cascades])) + 1  # where a source's cascades begin
+    bounds = np.concatenate([[0], cut, [len(cascades)]])
+    done = np.concatenate([[0], np.cumsum(per_cascade[cascades])])[bounds]
+    i = 0
+    while i + 1 < len(bounds):
+        j = max(i + 1, int(np.searchsorted(done, done[i] + _GROUP_TRIPLES, "right")) - 1)
+        yield cascades[bounds[i] : bounds[j]]
+        i = j
+
+
+def _merge_group(cascades, cascade_columns, pair, pair_count, catalogue, mode):
+    """Merge the triples of `cascades`, the cascades of whole sources: per
+    kept entry its key, count and margin sum, and the position of its first
+    triple among all the dataset's.
+
+    `cascade_columns` give each cascade's first position, infected count,
+    triple count and first triple's position; `pair` numbers each
+    position's (source, user) pair, of `pair_count`, and `catalogue` is
+    `_catalogue`'s. The triples come cascade by cascade, each cascade's
+    pairs in `np.triu_indices` order, and are merged by one in-place sort
+    of one int64 per triple (see `_sorted_runs`): the key, the unordered
+    pair of the triple's two pairs then an orientation bit, and the
+    triple's position in the group. A run of equal keys is one entry, led
+    by its first occurrence; the two orientations of a pair are adjacent
+    runs, which is all dominance needs. Each triple-length array is freed
+    once used and buffers are updated in place, so they never hold more
+    than about five int64 words per triple.
+    """
+    starts, infected, per_cascade, triple_starts = (c[cascades] for c in cascade_columns)
+    base, catalogue_earlier, catalogue_later, catalogue_margins = catalogue
+    local_starts = np.cumsum(per_cascade) - per_cascade
+    triples = int(local_starts[-1] + per_cascade[-1])
     # A cascade's t-th triple reads catalogue row base[n] + t, n its length.
-    row = np.repeat(base[infected] - (np.cumsum(per_cascade) - per_cascade), per_cascade)
+    row = np.repeat(base[infected] - local_starts, per_cascade)
     row += np.arange(triples)
-    margins = catalogue_margins[row]
-    earlier = catalogue_earlier[row]
-    later = catalogue_later[row]
+    margins = catalogue_margins.take(row)
+    earlier = catalogue_earlier.take(row)
+    later = catalogue_later.take(row)
     del row
     # each triple's earlier and later pair; a cascade's infected users follow its source
     offset = np.repeat(starts + 1, per_cascade)
@@ -363,45 +392,96 @@ def build_table(
     run_start[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
     run_starts = np.flatnonzero(run_start)
-    run_keys = ordered[run_starts]
-    del ordered
-    first = position[run_starts]  # a run lists its positions in ascending order
-    weights = margins[position]
-    del margins, position
-    run = np.cumsum(run_start, dtype=np.intp)
-    run -= 1
     del run_start
-    # bincount adds in input order, and a run lists its margins in cascade
-    # order, so each sum is the running sum over the cascades, bit for bit.
-    means = np.bincount(run, weights=weights)
-    del run, weights
+    keys = ordered[run_starts]
+    del ordered
+    weights = margins[position]
+    del margins
+    first = position[run_starts]  # a run lists its positions in ascending order
+    del position
     counts = np.diff(run_starts, append=triples)
     del run_starts
-    means /= counts
-    keep = np.ones(len(run_keys), dtype=bool)
+    run = np.repeat(np.arange(len(counts)), counts)
+    # bincount adds in input order, and a run lists its margins in cascade
+    # order, so each sum is the running sum over the cascades, bit for bit.
+    sums = np.bincount(run, weights=weights)
+    del run, weights
     if mode == "dominant":
         # the two orientations of a pair are adjacent keys differing in the low bit
-        twin = np.flatnonzero((run_keys[1:] ^ run_keys[:-1]) == 1)
+        keep = np.ones(len(keys), dtype=bool)
+        twin = np.flatnonzero((keys[1:] ^ keys[:-1]) == 1)
         keep[twin] = counts[twin] > counts[twin + 1]
         keep[twin + 1] = counts[twin + 1] > counts[twin]  # a tie drops both
-    kept = np.flatnonzero(keep)
-    del keep
-    # Restore first-occurrence order: mark each kept run at its first
-    # position, then scan the positions in order.
-    at = first[kept]
-    del first
-    marked = np.zeros(triples, dtype=bool)
-    marked[at] = True
-    run_at = np.empty(triples, dtype=np.intp)
-    run_at[at] = kept
-    del at, kept
-    kept = run_at[np.flatnonzero(marked)]
-    del run_at, marked
-    key = run_keys[kept]
-    del run_keys
-    counts = counts[kept]
-    means = means[kept]
-    del kept
+        keys = keys[keep]  # one column at a time, each old one freed at once
+        counts = counts[keep]
+        sums = sums[keep]
+        first = first[keep]
+        del keep
+    # the position of each entry's first triple among the dataset's
+    first += np.repeat(triple_starts - local_starts, per_cascade)[first]
+    return keys, counts, sums, first
+
+
+def build_table(
+    dataset: CascadeDataset, mu: float = 2.0, mode: str = "dominant"
+) -> CombinationTable:
+    """Aggregate triples over a dataset, merging duplicate keys.
+
+    A merged entry's count is the number of contributing cascades and its
+    avg_margin the arithmetic mean of the per-cascade margins. Merging
+    happens before dominance filtering, so dominance compares merged counts.
+    Entries keep the order in which their keys first occur, and margins are
+    summed in cascade order.
+
+    Triples come in cascade order, each cascade's pairs in `np.triu_indices`
+    order, gathered from the dataset's offsets and a catalogue of the
+    ordered pairs and margins of each distinct cascade length.
+
+    Triples of different sources never merge, so sources are merged a group
+    at a time (`_merge_group`): runs of whole sources in id order of at most
+    `_GROUP_TRIPLES` triples each, or one source holding more. Each group
+    gives its entries' keys, counts, margin sums and first positions; one
+    sort of the N first positions restores first-occurrence order across
+    groups, and the keys are decoded to pairs once. The peak working set is
+    the returned table and two more int64 words per entry while its columns
+    are ordered, plus about five words per triple of the largest group
+    while that group is merged, plus a few per cascade position: it does
+    not grow with the triple count T while the largest group stays bounded.
+    """
+    _check_mu(mu)
+    tokens = dataset.tokens
+    flat, offsets = dataset.flat_users, dataset.offsets
+    infected = np.diff(offsets) - 1
+    per_cascade = infected * (infected - 1) // 2
+    if not per_cascade.any():
+        return CombinationTable([], mode=mode, tokens=tokens)
+    # Number each position's (source, user) pair densely, in (source, user)
+    # order, so that a triple's key fits in int64.
+    starts = offsets[:-1]
+    cascade_source = flat[starts]
+    position_source = np.repeat(cascade_source, infected + 1)
+    first, pair = _distinct_rows(position_source, flat)
+    pair_source, pair_user = position_source[first], flat[first]
+    del position_source, first
+    # (a set: a plain np.unique would import numpy.ma, about 1 MB of start-up)
+    catalogue = _catalogue(sorted(set(infected[per_cascade > 0].tolist())), mu)
+    cascade_columns = (starts, infected, per_cascade, np.cumsum(per_cascade) - per_cascade)
+    # the cascades holding triples, by source, each source's in cascade order
+    cascades = np.flatnonzero(per_cascade)
+    cascades = cascades[np.argsort(cascade_source[cascades], kind="stable")]
+    pair_count = len(pair_source)
+    columns = [[], [], [], []]
+    for group in _source_groups(cascades, cascade_source, per_cascade):
+        for column, piece in zip(columns, _merge_group(group, cascade_columns, pair,
+                                                       pair_count, catalogue, mode)):
+            column.append(piece)
+    del pair, cascades, cascade_columns, column, piece
+    # Restore first-occurrence order: one sort of the N first positions,
+    # then each column is joined and gathered in that order, one at a time.
+    order = _sorted_runs(np.concatenate(columns.pop()))[1]
+    key, counts, means = (np.concatenate(columns.pop(0))[order] for _ in range(3))
+    del order
+    means /= counts  # each entry's margin sum, by its count
     flipped = (key & 1).astype(bool)
     key >>= 1
     low, high = np.divmod(key, pair_count)

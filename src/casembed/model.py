@@ -17,10 +17,12 @@ order the file lists the block's points. Which block serves a source is
 settled when the model is assembled: its own space, in an independent model,
 or else the one block serving every source (the shared space, or
 single_space's influence block); no query reads the variant. Loading,
-saving, initialization and ranking read the block arrays. A block's only
-index is its `{id: row}` dict, built on the block's first lookup: scalar
-queries (`space_of`, `influence_point`, `distance_sq`, ...) and the bulk
-lookup that resolves a combination table's pairs for training both use it.
+saving, initialization and ranking read the block arrays. Scalar queries
+(`space_of`, `influence_point`, `distance_sq`, ...) read a block's
+`{id: row}` dict, built on its first lookup. The bulk lookup that resolves
+a combination table's pairs for training builds none: it joins the pairs
+against the block arrays (`_slot_rows`), so training and saving build no
+such dict.
 Squared distances, scalar or bulk, come from one array expression, so
 `distance_sq` and a ranking agree bit for bit.
 
@@ -74,7 +76,7 @@ from typing import Mapping
 
 import numpy as np
 
-from casembed.combinations import _distinct_rows
+from casembed.combinations import _distinct_rows, _join
 from casembed.data import _atomic_write
 
 __all__ = [
@@ -282,20 +284,24 @@ class EmbeddingModel:
 
     def _slot_rows(self, sources: np.ndarray, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For (source, user) pairs: the source's influence row and the
-        user's row in the source's space, each -1 where absent. Each run of
-        equal sources looks its source up once in the influence view and
-        its users in the source's `space_of` view."""
-        x = np.empty(len(sources), dtype=np.int64)
-        y = np.empty(len(users), dtype=np.int64)
-        new = np.ones(len(sources), dtype=bool)
-        np.not_equal(sources[1:], sources[:-1], out=new[1:])
-        starts = np.flatnonzero(new).tolist()
-        for start, end, source in zip(starts, starts[1:] + [len(users)],
-                                      sources[starts].tolist()):
-            x[start:end] = self._influence.get(source, -1)
-            space = self.space_of(source) or {}
-            y[start:end] = [space.get(user, -1) for user in users[start:end].tolist()]
-        return x, y
+        user's row in the source's space, each -1 where absent. Two array
+        joins and no `{id: row}` view: the sources against the influence
+        block's ids, and the pairs against the susceptibility points, keyed
+        by (owning source, id) in an independent model and by id alone
+        otherwise."""
+        influence = self._blocks[0]
+        x = _join(np.zeros_like(influence.ids), influence.ids, influence.rows,
+                  np.zeros_like(sources), sources)
+        if self._serving is None:
+            blocks = list(self._spaces.values())
+            owners = np.repeat(np.fromiter(self._spaces, np.int64, len(blocks)),
+                               [len(block.ids) for block in blocks])
+        else:
+            blocks = [self._serving]
+            owners, sources = np.zeros_like(blocks[0].ids), np.zeros_like(sources)
+        ids = np.concatenate([np.empty(0, dtype=np.int64), *(block.ids for block in blocks)])
+        rows = np.concatenate([np.empty(0, dtype=np.int64), *(block.rows for block in blocks)])
+        return x, _join(owners, ids, rows, sources, users)
 
     def diffusion_kernel(self, source: int, user: int, time: float = 1.0) -> float | None:
         """Contamination propensity (4*pi*t)^(-D/2) * exp(-d^2 / (4 t)).
@@ -365,7 +371,8 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
     table's sources and the S + P (space, user) points they give, never its
     combinations. Points are numbered with `_distinct_rows`, so ids may
     take any int64 value: each point keeps its own id, and `save_model`
-    rejects ids a model file cannot hold.
+    rejects ids a model file cannot hold. Each temporary is freed once
+    read, so the coordinates are allocated beside the blocks alone.
     """
     dim = config.dimension
     variant = config.variant
@@ -389,15 +396,20 @@ def init_model(table, config, rng: np.random.Generator) -> EmbeddingModel:
     np.minimum.at(first, pair_space[table.earlier_pair], position)
     np.minimum.at(pair_first, table.earlier_pair, position + 1)
     np.minimum.at(pair_first, table.later_pair, position + 2)
+    del position, pair_first
     space = np.zeros(len(first), dtype=np.int64)
     if variant != "single_space":
         space[len(sources):] = 1 + pair_space if variant == "independent" else 1
+    del pair_space
     users = np.concatenate([sources, table.pair_user])
     point, at = _distinct_rows(space, users)
     point_first = np.full(len(point), 3 * n)
     np.minimum.at(point_first, at, first)  # a single_space user point may also be a source's
+    del at, first
     point = point[np.argsort(point_first)]
+    del point_first
     point_space, point_user = space[point], users[point]
+    del space, users
     # Group rows by space, ascending within each; a block's order is its rows'
     # order, and blocks follow their first rows.
     by_space = np.argsort(point_space, kind="stable")

@@ -16,11 +16,12 @@ gaps from them, counts how often each slot serves as an active earlier or
 later distance, and scatters one weighted difference per slot. That costs
 O(N + S·D) instead of O(N·D). The slot index is built once per `train`
 from the table's pair numbering (see `CombinationTable`), which
-`build_table` computes while merging triples: model rows are looked up in
-the model's `{id: row}` views once per distinct (source, user) pair,
-`_distinct_rows` numbers the slots in (influence row, susceptibility row)
-order with one lexsort over those pairs, and each combination only
-gathers its two pairs' slots. The table's key columns are never read.
+`build_table` computes while merging triples: each distinct (source, user)
+pair's model rows are found by an array join against the model's point
+blocks (`EmbeddingModel._slot_rows`), `_distinct_rows` numbers the slots in
+(influence row, susceptibility row) order with one lexsort over those
+pairs, and each combination only gathers its two pairs' slots. The table's
+key columns are never read, and no `{id: row}` dict is built.
 
 An epoch builds nothing of S·D entries. It computes the S squared distances
 ⌈S/D⌉ slots at a time, frees the distances, gaps and active set before its
@@ -206,11 +207,14 @@ class _PackedTable:
 def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
     """Resolve the table to `model`'s slots, for any model holding its rows.
 
-    Works per pair of the table's pair numbering: each pair's rows are
-    looked up in the model's `{id: row}` views, slots are numbered by
-    `_distinct_rows` over the P pairs' rows, and each combination gathers
+    Works per pair of the table's pair numbering: the pairs' rows come
+    from `EmbeddingModel._slot_rows`, which joins them against the model's
+    point arrays and builds no `{id: row}` view, slots are numbered by
+    `_distinct_rows` over the pairs' rows, and each combination gathers
     the slots of its earlier and later pairs. Nothing of length N is
-    sorted, and a missing row is reported by the key the numbering gives.
+    sorted; beside the packed table it allocates O(S + P) words for the
+    model's P points, all freed on return; and a missing row is reported
+    by the key the numbering gives.
     """
     x, y = model._slot_rows(table.pair_source, table.pair_user)
     missing = (x < 0) | (y < 0)

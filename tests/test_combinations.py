@@ -1,5 +1,6 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import casembed.combinations as combinations
 from casembed.combinations import (
     ENTRY,
     MODES,
@@ -351,6 +353,82 @@ def test_build_working_set_is_bounded_per_triple(traced_peak, mode, corpus):
     assert len(table) <= triples
     bound = 8 * (BUILD_WORDS_PER_TRIPLE * triples + BUILD_WORDS_PER_POSITION * positions)
     assert peak <= bound, f"{peak / 8 / triples:.1f} words per triple"
+
+
+def _columns(table):
+    return (table.pair_source, table.pair_user, table.earlier_pair, table.later_pair,
+            table.count, table.avg_margin)
+
+
+def _build_in_groups(dataset, mu, mode, bound):
+    with mock.patch.object(combinations, "_GROUP_TRIPLES", bound):
+        return build_table(dataset, mu, mode)
+
+
+def _assert_bit_equal(grouped, whole):
+    assert grouped.mode == whole.mode and grouped.tokens == whole.tokens
+    for got, want in zip(_columns(grouped), _columns(whole)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# bound 1 puts every source in a group of its own
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(0, 7), min_size=2, max_size=6, unique=True),
+                     min_size=1, max_size=16),
+       mode=st.sampled_from(MODES), bound=st.sampled_from([1, 4, 12]))
+def test_grouped_build_is_bit_equal_to_one_group(rows, mode, bound):
+    """Entries, counts, margins and the pair numbering do not depend on how
+    the sources are grouped."""
+    dataset = _dataset(*rows)
+    whole = _build_in_groups(dataset, 2.0, mode, 2**62)
+    _assert_bit_equal(_build_in_groups(dataset, 2.0, mode, bound), whole)
+
+
+@pytest.mark.parametrize("bound", [1, 200])
+def test_grouped_build_is_bit_equal_on_random_corpora(bound):
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        dataset = _random_dataset(rng, max_users=30, max_cascades=60, max_len=12)
+        mu = float(rng.choice([1.5, 2.0, math.e]))
+        for mode in MODES:
+            whole = _build_in_groups(dataset, mu, mode, 2**62)
+            _assert_bit_equal(_build_in_groups(dataset, mu, mode, bound), whole)
+
+
+def _repeating_corpus(sources, cascades_per_source, pool=24, seed=0):
+    """Each source's cascades order its whole pool of `pool` users afresh, so
+    triples grow with the cascades while combinations stay at most
+    pool·(pool − 1) per source."""
+    rng = np.random.default_rng(seed)
+    return CascadeDataset.from_token_rows(
+        (f"c{s}-{k}", [f"s{s}", *(f"u{s}-{u}" for u in rng.permutation(pool))])
+        for s in range(sources) for k in range(cascades_per_source)
+    )
+
+
+# Words of 8 bytes a grouped build may hold at its peak: per combination
+# (the returned table included), per triple of its largest group, and per
+# cascade position.
+GROUPED_WORDS_PER_ENTRY = 8
+GROUPED_WORDS_PER_GROUP_TRIPLE = 8
+GROUPED_WORDS_PER_POSITION = 12
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("shape", [(8, 30), (8, 120), (32, 30)])
+def test_grouped_build_working_set_does_not_grow_with_triples(traced_peak, mode, shape):
+    """Merging one source at a time, the peak is the output columns plus
+    O(largest group) plus O(positions): under two words per triple once
+    cascades repeat, where a one-group build needs over four."""
+    dataset = _repeating_corpus(*shape)
+    per_source = shape[1] * 24 * 23 // 2
+    triples = shape[0] * per_source
+    positions = len(dataset.flat_users)
+    table, peak = traced_peak(_build_in_groups, dataset, 2.0, mode, per_source)
+    words = (GROUPED_WORDS_PER_ENTRY * len(table) + GROUPED_WORDS_PER_GROUP_TRIPLE * per_source
+             + GROUPED_WORDS_PER_POSITION * positions)
+    assert peak <= 8 * words, f"{peak / 8 / words:.2f} words per bound word"
+    assert peak < 2 * 8 * triples, f"{peak / 8 / triples:.2f} words per triple"
 
 
 def test_total_triples_match_complexity_factor():

@@ -16,6 +16,7 @@ import json
 import pytest
 
 import casembed.cli as cli
+import casembed.combinations as combinations
 
 SPLIT = {
     "train.cascades": "dea3b9ab5f63ddc80b43afa17118e401ec7cc8a3ccd9a5aa7d41e6d4b4a06a0e",
@@ -84,16 +85,22 @@ def test_split_bytes(split_dir):
     assert {name: _sha((split_dir / name).read_bytes()) for name in SPLIT} == SPLIT
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANT))
-def test_train_and_eval_bytes(split_dir, variant, tmp_path):
+def _train(split_dir, variant, tmp_path) -> dict[str, str]:
+    """Digests of the model, epoch log and manifest `stats` of one train."""
     model, log = tmp_path / "model.iaem", tmp_path / "train.log"
     run("train", "--train", split_dir / "train.cascades", "--dim", 4, "--epochs", 5,
         "--variant", variant, "--seed", 2, "--model-out", model, "--log", log)
-    got = {
+    return {
         "model": _sha(model.read_bytes()),
         "log": _sha(log.read_bytes()),
         "train_stats": _stats(tmp_path / "model.iaem.manifest.json"),
     }
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT))
+def test_train_and_eval_bytes(split_dir, variant, tmp_path):
+    got = _train(split_dir, variant, tmp_path)
+    model = tmp_path / "model.iaem"
     for fmt, test in (("json", "test"), ("tsv", "probe")):
         report = tmp_path / f"report.{fmt}"
         run("eval", "--model", model, "--test", split_dir / f"{test}.cascades",
@@ -101,3 +108,14 @@ def test_train_and_eval_bytes(split_dir, variant, tmp_path):
         got[fmt] = _sha(report.read_bytes())
         got[f"{fmt}_stats"] = _stats(tmp_path / f"report.{fmt}.manifest.json")
     assert got == VARIANT[variant]
+
+
+@pytest.mark.parametrize("bound", [1, 60])
+@pytest.mark.parametrize("variant", sorted(VARIANT))
+def test_train_bytes_when_sources_are_merged_in_small_groups(split_dir, variant, bound,
+                                                             tmp_path, monkeypatch):
+    # the train split's sources hold 40, 60, 30 and 30 triples: bound 1 merges
+    # each alone, bound 60 the last two together
+    monkeypatch.setattr(combinations, "_GROUP_TRIPLES", bound)
+    expected = {key: VARIANT[variant][key] for key in ("model", "log", "train_stats")}
+    assert _train(split_dir, variant, tmp_path) == expected

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import weakref
@@ -825,3 +826,66 @@ def test_setup_sorts_only_pairs_and_sources(variant, monkeypatch):
                        np.random.default_rng(0))
     _pack_table(model, table)
     assert lengths and max(lengths) <= bound
+
+
+# ids spanning int64, so that a join packing ids into a key would overflow
+_IDS = st.sampled_from([-(2**63), -5, 0, 1, 2, 3, 7, 2**40, 2**63 - 1])
+
+
+@st.composite
+def _lookup_case(draw, variant):
+    """A model of `variant` over a few of `_IDS` and (source, user) queries
+    over the same ids: some sources lack an influence point, independent
+    ones may own no space or own one without an influence point, users may
+    be absent, and in single_space a source is a member of every space."""
+    blocks = st.lists(_IDS, max_size=5, unique=True)
+    influence, spaces, shared = draw(blocks), None, None
+    if variant == "independent":
+        spaces = {source: draw(blocks) for source in draw(blocks)}
+    elif variant == "shared_susceptibility":
+        shared = draw(blocks)
+    rows = itertools.count()
+
+    def block(users):
+        return {user: next(rows) for user in users}
+
+    influence = block(influence)
+    if spaces is not None:
+        spaces = {source: block(users) for source, users in spaces.items()}
+    if shared is not None:
+        shared = block(shared)
+    points = next(rows)
+    model = EmbeddingModel(1, variant, np.zeros((points, 1)), influence, spaces=spaces,
+                           shared_space=shared)
+    return model, draw(st.lists(st.tuples(_IDS, _IDS), max_size=12))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_slot_rows_join_matches_scalar_lookups(variant, data):
+    model, queries = data.draw(_lookup_case(variant))
+    sources, users = np.array(queries, dtype=np.int64).reshape(-1, 2).T
+    x, y = model._slot_rows(sources, users)
+    assert all("view" not in vars(block) for block in model._blocks)
+    assert x.dtype == y.dtype == np.int64
+    for source, user, row_x, row_y in zip(sources.tolist(), users.tolist(),
+                                          x.tolist(), y.tolist()):
+        assert row_x == model._influence.get(source, -1)
+        assert row_y == (model.space_of(source) or {}).get(user, -1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pack_leaves_only_its_packed_arrays(traced, variant):
+    """`_pack_table` keeps nothing but the packed table, and resolves the
+    table's pairs without building any block's `{id: row}` view."""
+    world = generate_world(6, 40, 4, seed=5)
+    table = build_table(emit_cascades(world, 40, 16, seed=6, noise=0.3), mode="full")
+    model = init_model(table, TrainConfig(epochs=1, dimension=8, variant=variant),
+                       np.random.default_rng(0))
+    _pack_table(model, table)  # once first, so that no first-call cache counts
+    packed, live, _ = traced(_pack_table, model, table)
+    assert packed.margins is table.avg_margin
+    arrays = sum(getattr(packed, name).nbytes for name in ("earlier_slot", "later_slot", "rows"))
+    assert arrays <= live <= arrays + 2048  # the dataclass and its arrays' headers
+    assert all("view" not in vars(block) for block in model._blocks)
