@@ -109,16 +109,18 @@ class CascadeDataset:
     Cascade k is ``cascade_ids[k]`` with users
     ``flat_users[offsets[k]:offsets[k + 1]]``, its source first: one int64
     array for every cascade's users and one offsets array, both read-only.
-    ``tokens[i]`` is the original string token of interned user id ``i``.
-    Iteration and indexing hand out `Cascade` views made on demand. Splits
-    keep their parent's table, so ids stay stable across train/test.
+    ``tokens[i]`` is the original string token of interned user id ``i``;
+    the table is one tuple, and its `{token: id}` index is built only on the
+    first `user_id` call, so a dataset that is parsed, split and scored
+    never builds it. Iteration and indexing hand out `Cascade` views made
+    on demand. Splits keep their parent's table, so ids stay stable across
+    train/test.
     """
 
     def __init__(self, cascades: Iterable[Cascade], tokens: Sequence[str]):
         cascades = tuple(cascades)
         tokens = tuple(tokens)
-        ids = {tok: i for i, tok in enumerate(tokens)}
-        if len(ids) != len(tokens):
+        if len(set(tokens)) != len(tokens):
             raise CascadeValidationError("token table contains duplicate tokens")
         lengths = [len(c.users) for c in cascades]
         flat = np.fromiter(chain.from_iterable(c.users for c in cascades), np.int64,
@@ -127,23 +129,21 @@ class CascadeDataset:
         if low < 0 or high >= len(tokens):
             bad = low if low < 0 else high
             raise CascadeValidationError(f"user id {bad} has no token table entry")
-        self._assign(tuple(c.cascade_id for c in cascades), flat, _offsets(lengths),
-                     tokens, ids)
+        self._assign(tuple(c.cascade_id for c in cascades), flat, _offsets(lengths), tokens)
 
-    def _assign(self, cascade_ids, flat, offsets, tokens, ids) -> None:
+    def _assign(self, cascade_ids, flat, offsets, tokens) -> None:
         self._cascade_ids: tuple[str, ...] = cascade_ids
         self._flat, self._offsets = _freeze(flat, offsets)
         self._tokens: tuple[str, ...] = tokens
-        self._ids: dict[str, int] = ids
 
     @classmethod
-    def _from_columns(cls, cascade_ids, flat, offsets, tokens, ids) -> CascadeDataset:
+    def _from_columns(cls, cascade_ids, flat, offsets, tokens) -> CascadeDataset:
         """A dataset over columns known to be valid: every cascade has a
         source and an infected user and no repeated user, every id indexes
-        `tokens`, and `ids` inverts `tokens`. The columns become the
-        dataset's; `ids` may be shared, as nothing changes it."""
+        `tokens`, and the tokens are distinct. The columns become the
+        dataset's; `tokens` may be shared, as nothing changes it."""
         dataset = cls.__new__(cls)
-        dataset._assign(cascade_ids, flat, offsets, tokens, ids)
+        dataset._assign(cascade_ids, flat, offsets, tokens)
         return dataset
 
     @classmethod
@@ -198,8 +198,14 @@ class CascadeDataset:
     def token(self, user: int) -> str:
         return self._tokens[user]
 
+    @cached_property
+    def _token_ids(self) -> dict[str, int]:
+        """The `{token: id}` index of the token table, built on the first
+        `user_id` call."""
+        return {tok: i for i, tok in enumerate(self._tokens)}
+
     def user_id(self, token: str) -> int | None:
-        return self._ids.get(token)
+        return self._token_ids.get(token)
 
     def __len__(self) -> int:
         return len(self._cascade_ids)
@@ -225,7 +231,7 @@ class CascadeDataset:
         gather += np.arange(offsets[-1])
         cascade_ids = tuple(map(self._cascade_ids.__getitem__, index.tolist()))
         return CascadeDataset._from_columns(cascade_ids, self._flat[gather], offsets,
-                                            self._tokens, self._ids)
+                                            self._tokens)
 
 
 def _freeze(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -269,7 +275,8 @@ def parse_cascade_file(text: str) -> CascadeDataset:
     """Parse cascade text into a dataset.
 
     One pass over the lines fills the columns and interns tokens in
-    first-appearance order; one sort of (cascade, user) keys then finds a
+    first-appearance order, through a dict dropped on return: the dataset
+    keeps the tokens as a tuple. One sort of (cascade, user) keys finds a
     user listed twice in a cascade. Raises CascadeParseError for lines with
     fewer than two user tokens or a missing tab, and CascadeValidationError
     for a duplicate user within one line, naming the first token that
@@ -298,7 +305,7 @@ def parse_cascade_file(text: str) -> CascadeDataset:
         lengths.append(len(user_tokens))
         users.extend([ids.setdefault(tok, len(ids)) for tok in user_tokens])
     flat, offsets = _check_repeats(ids, cascade_ids, linenos, users, lengths)
-    return CascadeDataset._from_columns(tuple(cascade_ids), flat, offsets, tuple(ids), ids)
+    return CascadeDataset._from_columns(tuple(cascade_ids), flat, offsets, tuple(ids))
 
 
 def _check_repeats(ids, cascade_ids, linenos, users, lengths):

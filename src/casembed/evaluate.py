@@ -183,11 +183,19 @@ def average_precision(prediction: RankedPrediction, truth: Cascade) -> float:
 
 def _model_ids(model: EmbeddingModel, test: CascadeDataset) -> np.ndarray:
     """Model id of each test user id, -1 for a token the model lacks; ids
-    are shared when the model has no token table."""
+    are shared when the model has no token table. One pass looks each model
+    token up in a transient index over the test tokens, and a scatter
+    inverts the result; neither side's own index is built."""
     if not model.tokens:
         return np.arange(len(test.tokens), dtype=np.int64)
-    ids = map(model._token_ids.get, test.tokens, itertools.repeat(-1))
-    return np.fromiter(ids, np.int64, len(test.tokens))
+    index = {tok: i for i, tok in enumerate(test.tokens)}
+    test_ids = np.fromiter(map(index.get, model.tokens, itertools.repeat(-1)), np.int64,
+                           len(model.tokens))
+    del index
+    shared = np.flatnonzero(test_ids >= 0)
+    ids = np.full(len(test.tokens), -1, dtype=np.int64)
+    ids[test_ids[shared]] = shared
+    return ids
 
 
 def evaluate(
@@ -203,9 +211,11 @@ def evaluate(
     ascending k: `_prefix_ap`'s additions in its order, so each AP is
     bit-equal to it. Cascades whose source is unknown to the model score 0
     and are flagged rather than skipped. Test users are matched to the model
-    through their string tokens when the model carries a token table;
-    otherwise ids are assumed shared. `threads` is accepted for
-    compatibility and ignored: scoring runs serially.
+    through their string tokens when the model carries a token table, in
+    O(model tokens + test tokens) time, with a transient index over the test
+    tokens and one int64 word per model token; otherwise ids are assumed
+    shared. `threads` is accepted for compatibility and ignored: scoring
+    runs serially.
     """
     if test.num_cascades == 0:
         raise ValueError("cannot evaluate an empty test set")

@@ -58,8 +58,9 @@ truncation at the offset reached. Point records are read a piece of about
 each record the bytes after the token table could hold; nothing is sized by
 a header field alone, and no copy of the file is held, so the loader needs
 the buffer and one piece beside what the model keeps. A model keeps its
-`{token: id}` index beside its token tuple; `init_model` leaves it to be
-built on the first lookup (`user_id`).
+tokens as one tuple; the loader checks them for repeats with a set it drops
+at once, and every model, loaded, constructed or trained, builds its
+`{token: id}` index only on the first lookup (`user_id`).
 """
 
 from __future__ import annotations
@@ -183,7 +184,6 @@ class EmbeddingModel:
         elif spaces is not None or shared_space is not None:
             raise ModelError("single_space models store all points as influence")
         self._assign(dimension, variant, coords, blocks, sources, _distinct(tokens))
-        self._token_ids  # a constructed model, like a loaded one, is indexed at once
         rows = np.concatenate([block.rows for block in blocks])
         if len(rows) and not (0 <= rows.min() and rows.max() < len(coords)):
             bad = rows[(rows < 0) | (rows >= len(coords))][0]
@@ -193,11 +193,11 @@ class EmbeddingModel:
             bad = int((owners != 1).argmax())
             raise ModelError(f"coordinate row {bad} belongs to {owners[bad]} points, not one")
 
-    def _assign(self, dimension, variant, coords, blocks, sources, tokens, token_ids=None):
+    def _assign(self, dimension, variant, coords, blocks, sources, tokens):
         """Set the model's state from its point blocks in file order, the ids
         of the sources owning `blocks[1:]` if independent, and its distinct
-        tokens in id order, with their `{token: id}` index if already built.
-        Other models serve every source from their last block."""
+        tokens in id order. Other models serve every source from their last
+        block."""
         self.dimension = int(dimension)
         self.variant = variant
         self.coords = coords
@@ -205,25 +205,20 @@ class EmbeddingModel:
         self._spaces: dict[int, _Block] = dict(zip(sources, blocks[1:]))
         self._serving: _Block | None = None if variant == "independent" else blocks[-1]
         self.tokens = tuple(tokens)
-        if token_ids is not None:
-            self._token_ids = token_ids
 
     @classmethod
-    def _from_blocks(cls, dimension, variant, coords, blocks, sources, tokens,
-                     token_ids=None) -> EmbeddingModel:
+    def _from_blocks(cls, dimension, variant, coords, blocks, sources, tokens) -> EmbeddingModel:
         """A model over blocks known to give each row to exactly one point,
-        with finite coordinates and distinct `tokens`; it adopts `token_ids`,
-        their `{token: id}` index, when given."""
+        with finite coordinates and distinct `tokens`."""
         model = cls.__new__(cls)
-        model._assign(dimension, variant, coords, blocks, sources, tokens, token_ids)
+        model._assign(dimension, variant, coords, blocks, sources, tokens)
         return model
 
     @cached_property
     def _token_ids(self) -> dict[str, int]:
-        """The `{token: id}` index of the token table. The constructor
-        builds it at once and `load_model` as it checks the table; a model
-        from `init_model` builds it on its first lookup, since training and
-        saving never look a token up."""
+        """The `{token: id}` index of the token table, built on the first
+        `user_id` call: loading, training, saving and `evaluate` look no
+        token up, so most models never build it."""
         return {tok: i for i, tok in enumerate(self.tokens)}
 
     def _space_block(self, source: int) -> _Block | None:
@@ -493,8 +488,17 @@ class _InPlace(io.RawIOBase):
     """Bytes in memory as a raw stream that copies out of them a read at a
     time, so no copy of them is made first."""
 
+    # `io.BufferedReader` reads its raw stream's `closed` on every read: a
+    # plain class attribute, shadowed by the instance's once closed, is found
+    # without `io.RawIOBase`'s getter and its own attribute lookup.
+    closed = False
+
     def __init__(self, data: memoryview):
         self._data, self._offset = data, 0
+
+    def close(self):
+        super().close()
+        self.closed = True
 
     def readable(self) -> bool:
         return True
@@ -531,37 +535,55 @@ def _u32(source: _Source) -> int:
     return _U32.unpack(source.read(4))[0]
 
 
-def _read_tokens(source: _Source) -> dict[str, int]:
+def _read_tokens(source: _Source) -> tuple[str, ...]:
     """Read the token table, rejecting truncation, invalid UTF-8 and a
     repeated token, each at the offset of the first field it spoils; returns
-    the `{token: id}` table. Each length field and each token is one call of
-    the stream's own `read`, checked as `_Source.read` checks its reads."""
+    the tokens in id order. Each length field and each token is one call of
+    the stream's own `read`, checked as `_Source.read` checks its reads.
+    Repeats are found by one set, dropped once read; a repeat's offset is
+    sought only when there is one, and one before other damage comes first."""
     count = _u32(source)
     read, size, unpack = source.stream.read, source.size, _U32.unpack
-    ids: dict[str, int] = {}
-    at = source.offset  # of the next token's length field
-    for i in range(count):
-        if at + 4 > size:
-            raise ModelFormatError("truncated model data", at)
-        field = read(4)
-        if len(field) < 4:
-            raise ModelFormatError("truncated model data", at + len(field))
-        start = at + 4
-        stop = start + unpack(field)[0]
-        if stop > size:
-            raise ModelFormatError("truncated model data", start)
-        data = read(stop - start)
-        if len(data) < stop - start:
-            raise ModelFormatError("truncated model data", start + len(data))
-        try:
-            token = str(data, "utf-8")
-        except UnicodeDecodeError:
-            raise ModelFormatError("token is not valid UTF-8", start)
-        if ids.setdefault(token, i) != i:
-            raise ModelFormatError(f"token {token!r} repeats", at)
-        at = stop
+    tokens: list[str] = []
+    table = at = source.offset  # `at`: of the next token's length field
+    try:
+        for _ in range(count):
+            if at + 4 > size:
+                raise ModelFormatError("truncated model data", at)
+            field = read(4)
+            if len(field) < 4:
+                raise ModelFormatError("truncated model data", at + len(field))
+            start = at + 4
+            stop = start + unpack(field)[0]
+            if stop > size:
+                raise ModelFormatError("truncated model data", start)
+            data = read(stop - start)
+            if len(data) < stop - start:
+                raise ModelFormatError("truncated model data", start + len(data))
+            try:
+                tokens.append(str(data, "utf-8"))
+            except UnicodeDecodeError:
+                raise ModelFormatError("token is not valid UTF-8", start)
+            at = stop
+    except ModelFormatError:
+        _check_distinct(tokens, table)
+        raise
+    _check_distinct(tokens, table)
     source.offset = at
-    return ids
+    return tuple(tokens)
+
+
+def _check_distinct(tokens: list[str], at: int):
+    """Reject the first token that repeats an earlier one, at the offset of
+    its length field; the table's first length field is at `at`."""
+    if len(set(tokens)) == len(tokens):
+        return
+    seen: set[str] = set()
+    for token in tokens:
+        if token in seen:
+            raise ModelFormatError(f"token {token!r} repeats", at)
+        seen.add(token)
+        at += 4 + len(token.encode("utf-8"))
 
 
 def _check_ids(ids: np.ndarray, start: int, record: int, id_limit: int | None):
@@ -671,7 +693,7 @@ def _parse(stream, size: int) -> EmbeddingModel:
     if source.offset != source.size:
         raise ModelFormatError("trailing bytes after model", source.offset)
     return EmbeddingModel._from_blocks(dim, variant, points.coordinates(), blocks, sources,
-                                       tokens, tokens)
+                                       tokens)
 
 
 def load_model(data) -> EmbeddingModel:

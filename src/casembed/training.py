@@ -356,12 +356,14 @@ def run_epoch(
 
 
 class Stages(list):
-    """A command's stages, in order: one `{"stage", "seconds", "maxrss_mb"}`
-    record per stage, for its manifest. Each stage runs from the previous
-    `lap` (or the record's creation) to its own; `seconds` is its wall time
-    (`time.perf_counter`) and `maxrss_mb` the process's peak RSS so far
-    (`ru_maxrss`) when it ended, so the stage that raised the peak is the
-    one whose record shows it first."""
+    """A command's stages, in order: one `{"stage", "seconds", "maxrss_mb",
+    "rss_mb"}` record per stage, for its manifest. Each stage runs from the
+    previous `lap` (or the record's creation) to its own; `seconds` is its
+    wall time (`time.perf_counter`), `maxrss_mb` the process's peak RSS so
+    far (`ru_maxrss`) when it ended, so the stage that raised the peak is the
+    one whose record shows it first, and `rss_mb` its resident size then
+    (`/proc/self/statm`; None where that file is missing), so the stage
+    that still holds memory shows too."""
 
     def __init__(self):
         super().__init__()
@@ -371,9 +373,21 @@ class Stages(list):
         """Record stage `name` as ending now; returns `result`, unkept."""
         now = time.perf_counter()
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-        self.append({"stage": name, "seconds": now - self._since, "maxrss_mb": peak})
+        self.append({"stage": name, "seconds": now - self._since, "maxrss_mb": peak,
+                     "rss_mb": _resident_mb()})
         self._since = now
         return result
+
+
+def _resident_mb() -> float | None:
+    """The process's resident size in MiB, or None where /proc/self/statm
+    is missing or unreadable."""
+    try:
+        with open("/proc/self/statm", "rb", buffering=0) as statm:
+            fields = statm.read().split()
+    except OSError:
+        return None
+    return int(fields[1]) * resource.getpagesize() / 2**20
 
 
 class TrainHistory(list):

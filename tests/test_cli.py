@@ -42,13 +42,16 @@ def _sha256(data):
 
 
 def _check_stages(manifest, names):
-    """The manifest records `names`, in order, each with its seconds and the
-    process's peak RSS so far, outside the deterministic `stats`."""
+    """The manifest records `names`, in order, each with its seconds, the
+    process's peak RSS so far and its resident size then, outside the
+    deterministic `stats`."""
     stages = manifest["stages"]
     assert [stage["stage"] for stage in stages] == names
     assert all(stage["seconds"] >= 0 for stage in stages)
     peaks = [stage["maxrss_mb"] for stage in stages]
     assert peaks[0] > 0 and peaks == sorted(peaks)
+    if os.path.exists("/proc/self/statm"):
+        assert all(0 < stage["rss_mb"] < stage["maxrss_mb"] + 1 for stage in stages)
     assert "stages" not in manifest["stats"]
 
 

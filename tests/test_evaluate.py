@@ -1,15 +1,23 @@
 import itertools
 import json
 import math
+import os
 import re
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casembed.data import Cascade, CascadeDataset, CascadeValidationError
+from casembed.data import (
+    Cascade,
+    CascadeDataset,
+    CascadeValidationError,
+    parse_cascade_file,
+    split_dataset,
+)
 from casembed.evaluate import (
     EvalReport,
     RankedPrediction,
@@ -21,7 +29,15 @@ from casembed.evaluate import (
     report_json_lines,
     report_tsv,
 )
-from casembed.model import VARIANTS, EmbeddingModel, ModelError
+from casembed.model import (
+    VARIANTS,
+    EmbeddingModel,
+    ModelError,
+    load_model,
+    load_model_file,
+    save_model,
+    save_model_file,
+)
 from casembed.synthetic import emit_cascades, generate_world
 from casembed.training import TrainConfig, train
 
@@ -500,3 +516,87 @@ def test_report_rows_are_what_json_dumps_writes(ids, aps):
                     for k, (i, ap) in enumerate(zip(ids, aps))]
     assert (report == EvalReport(ids, aps[:n], range(n), range(n, 2 * n), [True] * n,
                                  [0.0] * n, sum(aps[:n]) / n)) is True
+
+
+_VOCABULARY = ("a", "b", "c", "d", "e", "é", "f", "g", "h", "ü")
+
+
+def _rows(vocabulary, min_len=2):
+    """Cascade rows (id, distinct tokens) over `vocabulary`, ids c0, c1, ..."""
+    row = st.lists(st.sampled_from(vocabulary), min_size=min_len, max_size=5, unique=True)
+    return st.lists(row, min_size=2, max_size=6).map(
+        lambda rows: [(f"c{k}", tokens) for k, tokens in enumerate(rows)])
+
+
+def _datasets(data, rows):
+    """The dataset of `rows` as each maker gives it: parsed, constructed,
+    from token rows, and a split sharing its parent's whole token table."""
+    interned = CascadeDataset.from_token_rows(rows)
+    text = "".join(f"{cid}\t{' '.join(tokens)}\n" for cid, tokens in rows)
+    # a constructed table may hold tokens no cascade lists
+    tokens = interned.tokens + tuple(data.draw(st.lists(st.sampled_from(["x", "yè"]),
+                                                        unique=True), label="extra"))
+    return {
+        "parsed": parse_cascade_file(text),
+        "constructed": CascadeDataset(list(interned), tokens),
+        "from_token_rows": CascadeDataset.from_token_rows(rows),
+        "split": split_dataset(interned, 0.5, data.draw(st.integers(0, 3), label="seed"))[1],
+    }
+
+
+def _models_of(train_set, tmp_dir):
+    """A trained model of `train_set`, the same model loaded from its bytes
+    and from a file, and a constructed one over the same table."""
+    trained, _ = train(train_set, TrainConfig(epochs=1, dimension=2, seed=3))
+    path = os.path.join(tmp_dir, "model.iaem")
+    save_model_file(trained, path)
+    ids = sorted({u for c in train_set for u in c.users})
+    constructed = EmbeddingModel(2, "single_space", np.zeros((len(ids), 2)),
+                                 {u: row for row, u in enumerate(ids)},
+                                 tokens=train_set.tokens)
+    return {"trained": trained, "loaded_bytes": load_model(save_model(trained)),
+            "loaded_file": load_model_file(path), "constructed": constructed}
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_token_index_is_built_only_by_the_first_lookup(data):
+    """Every dataset and model keeps its tokens as a tuple and no index:
+    `evaluate` builds none on either argument, and `user_id` builds one
+    that agrees with a fresh `{token: id}` lookup."""
+    datasets = _datasets(data, data.draw(_rows(_VOCABULARY[:7]), label="test rows"))
+    train_set = CascadeDataset.from_token_rows(
+        data.draw(_rows(_VOCABULARY[3:], min_len=3), label="train rows"))
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        models = _models_of(train_set, tmp_dir)
+    pairs = [(model, test) for model in models.values() for test in datasets.values()]
+    for holder in [*models.values(), *datasets.values()]:
+        assert type(holder.tokens) is tuple and "_token_ids" not in vars(holder)
+    for model, test in pairs:
+        evaluate(model, test)
+        assert "_token_ids" not in vars(model) and "_token_ids" not in vars(test)
+    for holder in [*models.values(), *datasets.values()]:
+        fresh = {tok: i for i, tok in enumerate(holder.tokens)}
+        assert [holder.user_id(tok) for tok in holder.tokens] == [fresh[tok] for tok in
+                                                                   holder.tokens]
+        assert holder.user_id("absent") is None and "_token_ids" in vars(holder)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_evaluate_matches_the_loop_across_partly_overlapping_vocabularies(data):
+    """A model trained on one split of a corpus scores the other split,
+    which shares the parent's whole token table, and a test set whose
+    vocabulary only partly overlaps the model's, interned in its own order,
+    as the per-cascade loop scores them, bit for bit."""
+    parent = CascadeDataset.from_token_rows(
+        data.draw(_rows(_VOCABULARY[:7], min_len=3), label="corpus"))
+    train_set, test_split = split_dataset(parent, 0.5, data.draw(st.integers(0, 3),
+                                                                 label="seed"))
+    variant = data.draw(st.sampled_from(VARIANTS), label="variant")
+    model, _ = train(train_set, TrainConfig(epochs=2, dimension=2, variant=variant, seed=1))
+    assert test_split.tokens is parent.tokens and model.tokens == parent.tokens
+    other = CascadeDataset.from_token_rows(data.draw(_rows(_VOCABULARY[4:]), label="other"))
+    for test in (test_split, other):
+        report = evaluate(model, test)
+        assert _hex(_scored(report)) == _hex(_scored_by_loop(model, test))

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import math
 import os
@@ -24,7 +25,7 @@ from casembed.model import (
     save_model,
     save_model_file,
 )
-from casembed.model import _parse
+from casembed.model import _InPlace, _parse
 from casembed.synthetic import emit_cascades, generate_world
 
 
@@ -305,8 +306,10 @@ class TestSaveLoad:
     def test_file_load_holds_no_copy_of_the_file(self, tmp_path, traced):
         """`load_model_file` reads the file in pieces into the coordinates:
         its peak is what the model keeps (coordinates, ids, rows and its
-        4,002-token table, which `load_model` indexes as it checks it) plus
-        at most 256 KiB, where a copy of the 1.08 MB file would not fit."""
+        4,002-token tuple, with no `{token: id}` index) plus at most 256 KiB,
+        which holds the stream's buffer, one piece and the set the token
+        table is checked with, where a copy of the 1.08 MB file would not
+        fit."""
         world = generate_world(2, 2000, 32, seed=1)
         path = tmp_path / "world.iaem"
         save_model_file(world, path)
@@ -338,6 +341,20 @@ class TestSaveLoad:
         again = load_model(wrap(bytes(save_model(model))))
         assert again == model
         assert again.tokens == model.tokens
+
+    def test_in_place_stream_is_closed_only_after_close(self):
+        """`io.BufferedReader` reads its raw stream's `closed` on every read;
+        `_InPlace` holds it as a plain value, so no getter runs there."""
+        raw = _InPlace(memoryview(b"abcdef"))
+        stream = io.BufferedReader(raw, 4)
+        assert inspect.getattr_static(raw, "closed") is False
+        assert stream.read(3) == b"abc" and stream.read(3) == b"def" and not stream.closed
+        stream.close()
+        assert raw.closed is True and stream.closed
+        assert inspect.getattr_static(raw, "closed") is True
+        with pytest.raises(ValueError):
+            stream.read(1)
+        assert _InPlace(memoryview(b"")).closed is False  # closing one closes no other
 
     def test_round_trip_empty(self):
         model = init_model(_table(), Cfg(3), np.random.default_rng(0))
@@ -440,6 +457,31 @@ class TestSaveLoad:
             load_model(bytes(blob))
         assert err.value.offset == second
 
+    @pytest.mark.parametrize("tokens, offset", [
+        ([b"ab", b"ab", b"cd"], 13 + 4 + 6),  # the first pair
+        ([b"ab", b"cd", b"ef", b"cd"], 13 + 4 + 3 * 6),  # the last token
+        (["x\u00e9".encode(), "\u00e8".encode(), "x\u00e9".encode()], 13 + 4 + 7 + 6),
+        ([b"a", b"b", b"a", b"b"], 13 + 4 + 2 * 5),  # the first of two repeats
+    ])
+    def test_repeated_token_rejected_at_its_length_field(self, tokens, offset):
+        with pytest.raises(ModelFormatError, match="repeats") as err:
+            load_model(_token_table_blob(tokens))
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("damage", ["invalid UTF-8", "truncated token", "truncated table"])
+    def test_repeated_token_reported_before_later_damage(self, damage):
+        """The repeat is found once the table is read, yet it is the first
+        damaged field in the file, so it is reported over damage after it."""
+        tokens = [b"ab", b"ab", b"\xff\xfe" if damage == "invalid UTF-8" else b"cd"]
+        blob = _token_table_blob(tokens)
+        if damage == "truncated token":
+            blob = blob[: 13 + 4 + 2 * 6 + 5]
+        elif damage == "truncated table":
+            blob = blob[: 13 + 4 + 2 * 6 + 2]
+        with pytest.raises(ModelFormatError, match="repeats") as err:
+            load_model(blob)
+        assert err.value.offset == 13 + 4 + 6
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinate_rejected_at_its_offset(self, value):
         model = EmbeddingModel(2, "single_space", np.zeros((2, 2)), {0: 0, 1: 1})
@@ -488,6 +530,33 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match="finite") as err:
             load_model(bytes(blob))
         assert err.value.offset == bad
+
+
+def _token_table_blob(tokens: list[bytes]) -> bytes:
+    """A single_space model file, dimension 1, with these raw tokens and no
+    points."""
+    table = b"".join(struct.pack("<I", len(tok)) + tok for tok in tokens)
+    return (b"IAEM" + struct.pack("<IIBI", 1, 1, 2, len(tokens)) + table
+            + struct.pack("<I", 0))
+
+
+@settings(max_examples=200)
+@given(tokens=st.lists(st.text("a\u00e9\U0001f600", max_size=2), max_size=6))
+def test_token_table_loads_or_fails_at_its_first_repeat(tokens):
+    """Distinct tokens load as a tuple in file order; otherwise the first
+    token equal to an earlier one fails at its length field's offset."""
+    blob = _token_table_blob([tok.encode() for tok in tokens])
+    at, seen = 13 + 4, set()
+    for tok in tokens:
+        if tok in seen:
+            with pytest.raises(ModelFormatError, match="repeats") as err:
+                load_model(blob)
+            assert err.value.offset == at
+            return
+        seen.add(tok)
+        at += 4 + len(tok.encode())
+    model = load_model(blob)
+    assert type(model.tokens) is tuple and model.tokens == tuple(tokens)
 
 
 @st.composite

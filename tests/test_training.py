@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import os
 import re
 import weakref
 
@@ -665,6 +666,19 @@ class TestTrain:
             "build", "init", "pack", "epochs", "final_check"]
         assert all(stage["seconds"] >= 0 and stage["maxrss_mb"] > 0
                    for stage in history.stages)
+        # the resident size then, never above the peak (the peak is read first)
+        if os.path.exists("/proc/self/statm"):
+            assert all(0 < stage["rss_mb"] < stage["maxrss_mb"] + 1
+                       for stage in history.stages)
+
+    def test_stage_resident_size_is_none_without_proc(self, monkeypatch):
+        def missing(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(training, "open", missing, raising=False)
+        stages = training.Stages()
+        assert stages.lap("only", "result") == "result"
+        assert stages[0]["rss_mb"] is None and stages[0]["maxrss_mb"] > 0
 
     def test_token_index_is_built_on_the_first_lookup(self):
         dataset = self._dataset()
