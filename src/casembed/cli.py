@@ -377,9 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--model-out", type=Path, required=True)
     tr.add_argument("--log", type=Path, default=None,
                     help="epoch TSV log file (default: print to stdout)")
-    tr.add_argument("--threads", type=int, default=os.cpu_count(),
-                    help="ignored, kept for compatibility: training runs in one "
-                    "thread in a fixed order")
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="rank and score a test cascade file")

@@ -15,12 +15,12 @@ A CombinationTable stores a numbering of the distinct (source, user) pairs
 its combinations read, each a point of a source's susceptibility space, and
 per combination its two pairs, count and margin; key columns and
 `Combination` views are read off the numbering on demand. `_distinct_rows`
-numbers distinct (a, b) rows for the whole set-up (these pairs, a model's
-(space, user) points, the packed slots) with one `np.lexsort` and no key
-packed from ids, so ids may take any int64 value. A table built from
-entries proves its keys distinct with one sort of a key made of two pair
-numbers; `build_table`'s keys are distinct by construction, so its table
-skips that sort.
+numbers distinct (a, b) rows for the whole set-up (these pairs, which
+training also uses as its slots, and a model's (space, user) points) with
+one `np.lexsort` and no key packed from ids, so ids may take any int64
+value. A table built from entries proves its keys distinct with one sort of
+a key made of two pair numbers; `build_table`'s keys are distinct by
+construction, so its table skips that sort.
 
 `build_table` reads a dataset's columns: each triple's positions come from
 the cascade offsets and a catalogue of ordered pairs per cascade length,

@@ -14,14 +14,13 @@ slot; a table of N combinations touches S distinct slots, and S is far
 smaller than N. An epoch computes the S squared distances, gathers the N
 gaps from them, counts how often each slot serves as an active earlier or
 later distance, and scatters one weighted difference per slot. That costs
-O(N + S·D) instead of O(N·D). The slot index is built once per `train`
-from the table's pair numbering (see `CombinationTable`), which
-`build_table` computes while merging triples: each distinct (source, user)
-pair's model rows are found by an array join against the model's point
-blocks (`EmbeddingModel._slot_rows`), `_distinct_rows` numbers the slots in
-(influence row, susceptibility row) order with one lexsort over those
-pairs, and each combination only gathers its two pairs' slots. The table's
-key columns are never read, and no `{id: row}` dict is built.
+O(N + S·D) instead of O(N·D). The slots are the table's pair numbering
+(see `CombinationTable`), which `build_table` computes while merging
+triples: slot k is the table's (source, user) pair k, and each combination
+reads its two slots straight from the table's `earlier_pair` and
+`later_pair` columns. Once per `train`, each pair's model rows are found by
+an array join against the model's point blocks (`EmbeddingModel._slot_rows`).
+The table's key columns are never read, and no `{id: row}` dict is built.
 
 An epoch builds nothing of S·D entries. It computes the S squared distances
 ⌈S/D⌉ slots at a time, frees the distances, gaps and active set before its
@@ -35,11 +34,12 @@ words while it finds the A active combinations, and at about 5S + 3P words
 while it scatters: O(N + A + S + P). `train` drops its corpus once the
 table is built (after counting its triples for `TrainHistory.triples`) and
 its table once the table is packed, so the epochs hold only the packed
-table's 3N + 2S words of indexes and margins. The model it makes builds no
-`{token: id}` index, which training and saving never read. A caller that
-passes the corpus without keeping a name for it, as the `train` command
-does, frees it before the model is made. `TrainHistory.stages` records each
-stage's seconds and the process's peak RSS after it, for the manifest.
+table's 3N + 2S words: three of the table's columns and the slots' rows.
+The model it makes builds no `{token: id}` index, which training and saving
+never read. A caller that passes the corpus without keeping a name for it,
+as the `train` command does, frees it before the model is made.
+`TrainHistory.stages` records each stage's seconds and the process's peak
+RSS after it, for the manifest.
 
 Divergence raises ValueError naming the epoch. Every epoch checks the
 distances it starts from, and train and run_epoch check the coordinates the
@@ -50,8 +50,9 @@ check of the last coordinates also yields the loss and active count of the
 model `train` returns (`TrainHistory.saved`), since every `EpochStats`
 describes the state before its update.
 
-Gradient accumulation runs in a fixed order over the slots, so results are
-deterministic.
+Each coordinate sums its gradient terms in slot order, which is the table's
+(source, user) order, so results are deterministic and do not depend on how
+the model numbers its rows.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from casembed.combinations import (
     Combination,
     CombinationTable,
     _check_mu,
-    _distinct_rows,
     build_table,
 )
 from casembed.data import CascadeDataset
@@ -177,16 +177,16 @@ def accumulate_gradients(model: EmbeddingModel, combo: Combination):
 class _PackedTable:
     """Combination table resolved to the slots of one model.
 
-    Built from the table's pair numbering, in its row order. `rows` lists
-    the influence rows of all slots, then their susceptibility rows: the
-    epoch scatters each dimension's gradients through it. Slot k pairs
-    influence row `slot_x[k]` with susceptibility row `slot_y[k]`, read-only
-    views of the two halves of `rows`; combination n reads the distances of
-    slots `earlier_slot[n]` and `later_slot[n]`; `margins` is the table's
-    `avg_margin` column. Slots are sorted by (`slot_x`, `slot_y`), which
-    fixes the order in which gradients accumulate. Nothing here grows with
-    the dimension. At squared distances of `distance_limit` or more,
-    float64 rounding in a gap reaches the smallest margin.
+    Slot k is the table's pair k, so `earlier_slot`, `later_slot` and
+    `margins` are the table's own `earlier_pair`, `later_pair` and
+    `avg_margin` columns: combination n reads the distances of slots
+    `earlier_slot[n]` and `later_slot[n]`. `rows` lists the influence rows
+    of all slots, then their susceptibility rows: the epoch scatters each
+    dimension's gradients through it. Slot k pairs influence row
+    `slot_x[k]` with susceptibility row `slot_y[k]`, read-only views of
+    the two halves of `rows`. Nothing here grows with the dimension. At
+    squared distances of `distance_limit` or more, float64 rounding in a
+    gap reaches the smallest margin.
     """
 
     earlier_slot: np.ndarray
@@ -207,14 +207,14 @@ class _PackedTable:
 def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
     """Resolve the table to `model`'s slots, for any model holding its rows.
 
-    Works per pair of the table's pair numbering: the pairs' rows come
-    from `EmbeddingModel._slot_rows`, which joins them against the model's
-    point arrays and builds no `{id: row}` view, slots are numbered by
-    `_distinct_rows` over the pairs' rows, and each combination gathers
-    the slots of its earlier and later pairs. Nothing of length N is
-    sorted; beside the packed table it allocates O(S + P) words for the
-    model's P points, all freed on return; and a missing row is reported
-    by the key the numbering gives.
+    Each of the table's pairs is a slot, its rows found by
+    `EmbeddingModel._slot_rows`, which joins the pairs against the model's
+    point arrays and builds no `{id: row}` view. Every valid model gives
+    each pair its own (influence row, susceptibility row), so no two slots
+    merge. The packed table shares the table's three N-length columns and
+    adds the 2S words of `rows`; beside them it allocates O(S + P) words
+    for the model's P points, all freed on return. A missing row is
+    reported by the key the numbering gives.
     """
     x, y = model._slot_rows(table.pair_source, table.pair_user)
     missing = (x < 0) | (y < 0)
@@ -223,12 +223,11 @@ def _pack_table(model: EmbeddingModel, table: CombinationTable) -> _PackedTable:
         key = table._combination(i).key
         raise ModelError(f"combination {key} has unallocated coordinates")
     margins = table.avg_margin
-    slot, slot_of_pair = _distinct_rows(x, y)
-    rows = np.concatenate([x[slot], y[slot]])
+    rows = np.concatenate([x, y])
     rows.flags.writeable = False
     return _PackedTable(
-        slot_of_pair[table.earlier_pair],
-        slot_of_pair[table.later_pair],
+        table.earlier_pair,
+        table.later_pair,
         margins,
         rows,
         float(margins.min(initial=np.inf) / np.finfo(np.float64).eps),
@@ -445,8 +444,8 @@ def train(
                          " every pair (each seen as often in both orders)")
     model = stages.lap("init", init_model(table, config, np.random.default_rng(config.seed)))
     packed = _pack_table(model, table)
-    history = TrainHistory(len(table), len(packed.slot_x), triples, stages)
-    del table  # the epochs read only `packed`, which keeps `avg_margin`
+    history = TrainHistory(len(table), len(table.pair_source), triples, stages)
+    del table  # the epochs read only `packed`, which keeps three of its columns
     stages.lap("pack")
     for epoch in range(config.epochs):
         stats = _run_packed_epoch(model, packed, config.learning_rate, epoch)

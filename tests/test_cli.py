@@ -296,15 +296,13 @@ class TestTrain:
             sizes[mode] = manifest["stats"]["table_entries"]
         assert sizes["full"] >= sizes["dominant"]
 
-    def test_deterministic_across_thread_flag(self, corpus, tmp_path):
-        outputs = []
-        for threads in (1, 4):
-            model_path = tmp_path / f"t{threads}.iaem"
-            assert run("train", "--train", corpus, "--dim", 3, "--epochs", 30,
-                       "--seed", 5, "--threads", threads,
-                       "--model-out", model_path) == 0
-            outputs.append(model_path.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_threads_flag_is_rejected(self, corpus, tmp_path, capsys):
+        """Training runs in one thread, so `train` takes no `--threads`."""
+        model_path = tmp_path / "t.iaem"
+        assert run("train", "--train", corpus, "--dim", 3, "--epochs", 1,
+                   "--threads", 2, "--model-out", model_path) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_divergence_exit_2_without_model(self, tmp_path, capsys):
         out = tmp_path / "synth"

@@ -900,6 +900,45 @@ def test_pack_leaves_only_its_packed_arrays(traced, variant):
     _pack_table(model, table)  # once first, so that no first-call cache counts
     packed, live, _ = traced(_pack_table, model, table)
     assert packed.margins is table.avg_margin
-    arrays = sum(getattr(packed, name).nbytes for name in ("earlier_slot", "later_slot", "rows"))
-    assert arrays <= live <= arrays + 2048  # the dataclass and its arrays' headers
+    assert packed.earlier_slot is table.earlier_pair
+    assert packed.later_slot is table.later_pair
+    assert packed.rows.size == 2 * len(table.pair_source)
+    arrays = packed.rows.nbytes  # the only array the packing allocates
+    assert arrays <= live <= arrays + 2048  # the dataclass and the array's header
     assert all("view" not in vars(block) for block in model._blocks)
+
+
+def _renumbered(model: EmbeddingModel, new_row: np.ndarray) -> EmbeddingModel:
+    """A twin of `model` holding the same points, point row r moved to row
+    `new_row[r]` and its coordinates with it."""
+    coords = np.empty_like(model.coords)
+    coords[new_row] = model.coords
+
+    def moved(block):
+        return {user: int(new_row[row]) for user, row in block.view.items()}
+
+    influence, *rest = model._blocks
+    spaces = shared = None
+    if model.variant == "independent":
+        spaces = {source: moved(block) for source, block in zip(model._spaces, rest)}
+    elif model.variant == "shared_susceptibility":
+        shared = moved(rest[0])
+    return EmbeddingModel(model.dimension, model.variant, coords, moved(influence),
+                          spaces=spaces, shared_space=shared)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_training_does_not_depend_on_row_numbering(variant):
+    """The same points under another row numbering train to the same
+    stats and, point for point, bit-identical coordinates: each coordinate
+    sums its gradient terms in the table's pair order."""
+    world = generate_world(6, 40, 4, seed=5)
+    table = build_table(emit_cascades(world, 40, 16, seed=6, noise=0.3), mode="full")
+    model = init_model(table, TrainConfig(epochs=1, dimension=8, variant=variant),
+                       np.random.default_rng(0))
+    new_row = np.random.default_rng(1).permutation(len(model.coords))
+    assert (new_row != np.arange(len(new_row))).any()
+    twin = _renumbered(model, new_row)
+    for epoch in range(5):
+        assert run_epoch(twin, table, 0.05, epoch) == run_epoch(model, table, 0.05, epoch)
+    assert np.array_equal(twin.coords[new_row], model.coords)
